@@ -13,7 +13,7 @@ from .channel_models import (
     AwgnParams,
     RayleighParams,
     RicianParams,
-    k_factor,
+    channel_gain,
     rayleigh_cdf,
     rayleigh_pdf,
     rician_pdf,
@@ -22,7 +22,6 @@ from .channel_models import (
     sample_rician_gain_batch,
 )
 from .errors import (
-    ConvergenceError,
     DomainError,
     InstabilityError,
     InvalidConfigError,
@@ -33,12 +32,10 @@ from .errors import (
 )
 from .qos_state_machine import (
     QoSChainParams,
-    build_transition_matrix,
-    chain_absorption_probability,
-    qos_delivery,
+    handshake_legs,
+    handshake_rows,
     reliability,
     reliability_monte_carlo,
-    simulate_handshake,
 )
 from .queueing_model import (
     QueueParams,
@@ -72,14 +69,13 @@ __all__ = [
     "AwgnParams",
     "RayleighParams",
     "RicianParams",
-    "k_factor",
+    "channel_gain",
     "rayleigh_cdf",
     "rayleigh_pdf",
     "rician_pdf",
     "sample_awgn_batch",
     "sample_rayleigh_gain_batch",
     "sample_rician_gain_batch",
-    "ConvergenceError",
     "DomainError",
     "InstabilityError",
     "InvalidConfigError",
@@ -88,12 +84,10 @@ __all__ = [
     "StatisticalCheckError",
     "UnreachableTargetError",
     "QoSChainParams",
-    "build_transition_matrix",
-    "chain_absorption_probability",
-    "qos_delivery",
+    "handshake_legs",
+    "handshake_rows",
     "reliability",
     "reliability_monte_carlo",
-    "simulate_handshake",
     "QueueParams",
     "erlang_c_probability",
     "mean_wait_in_queue",

@@ -1,8 +1,10 @@
 """Complex-baseband channel models: AWGN, Rayleigh and Rician fading.
 
-Samplers draw per-packet (block fading) channel gains and noise; the
-closed-form densities, the Jakes Doppler spectrum and the Rician
-autocorrelation are exposed for validation against the samplers.
+channel_gain maps standard normal draws to complex channel gains; the
+simulator calls it once per packet (block fading, i.i.d. across packets)
+and the batch samplers wrap it, so validate-channel checks the gains the
+simulator uses.  The closed-form magnitude densities are exposed for
+validation against the samplers.
 
 Conventions: a complex channel gain h = h_I + j*h_Q with i.i.d. N(0, sigma^2)
 quadratures has Rayleigh-distributed magnitude; adding a line-of-sight
@@ -20,9 +22,6 @@ from scipy import special
 from .errors import DomainError, InvalidParameterError
 from .rng import RngStream
 
-# Sample values are plain Python complex numbers (re + 1j*im).
-ComplexSample = complex
-
 
 @dataclass(frozen=True)
 class AwgnParams:
@@ -37,10 +36,9 @@ class AwgnParams:
 
 @dataclass(frozen=True)
 class RayleighParams:
-    """NLOS fading: per-quadrature std sigma, maximum Doppler shift in Hz."""
+    """NLOS fading: per-quadrature std sigma."""
 
     sigma: float
-    doppler: float = 1.0
 
     def __post_init__(self):
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
@@ -54,20 +52,12 @@ class RicianParams:
     amplitude: float
     sigma: float
     phase: float = 0.0
-    doppler: float = 1.0
 
     def __post_init__(self):
         if not (self.amplitude >= 0 and math.isfinite(self.amplitude)):
             raise InvalidParameterError(f"amplitude must be >= 0, got {self.amplitude}")
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise InvalidParameterError(f"sigma must be > 0, got {self.sigma}")
-
-
-def sample_awgn(params: AwgnParams, rng: RngStream) -> ComplexSample:
-    """One circularly-symmetric complex Gaussian noise sample of power n0."""
-    scale = math.sqrt(params.n0 / 2.0)
-    re, im = rng.gen.normal(0.0, scale, 2)
-    return complex(re, im)
 
 
 def sample_awgn_batch(params: AwgnParams, n: int, rng: RngStream) -> np.ndarray:
@@ -77,28 +67,24 @@ def sample_awgn_batch(params: AwgnParams, n: int, rng: RngStream) -> np.ndarray:
     return z[0] + 1j * z[1]
 
 
-def sample_rayleigh_gain(params: RayleighParams, rng: RngStream) -> ComplexSample:
-    """One NLOS channel gain h = h_I + j*h_Q, quadratures ~ N(0, sigma^2)."""
-    re, im = rng.gen.normal(0.0, params.sigma, 2)
-    return complex(re, im)
+def channel_gain(params: RayleighParams | RicianParams, z: np.ndarray) -> np.ndarray:
+    """Complex gains LOS + sigma*(z[0] + 1j*z[1]) from a (2, n) array of
+    standard normals; Rayleigh has no LOS term."""
+    s = params.sigma * z
+    h = s[0] + 1j * s[1]
+    if isinstance(params, RicianParams):
+        h += params.amplitude * complex(math.cos(params.phase), math.sin(params.phase))
+    return h
 
 
 def sample_rayleigh_gain_batch(params: RayleighParams, n: int, rng: RngStream) -> np.ndarray:
-    z = rng.gen.normal(0.0, params.sigma, (2, n))
-    return z[0] + 1j * z[1]
-
-
-def sample_rician_gain(params: RicianParams, rng: RngStream) -> ComplexSample:
-    """One gain with a fixed LOS term plus scattered CN(0, 2*sigma^2)."""
-    los = params.amplitude * complex(math.cos(params.phase), math.sin(params.phase))
-    re, im = rng.gen.normal(0.0, params.sigma, 2)
-    return los + complex(re, im)
+    """n NLOS gains h = h_I + j*h_Q, quadratures ~ N(0, sigma^2)."""
+    return channel_gain(params, rng.gen.standard_normal((2, n)))
 
 
 def sample_rician_gain_batch(params: RicianParams, n: int, rng: RngStream) -> np.ndarray:
-    los = params.amplitude * complex(math.cos(params.phase), math.sin(params.phase))
-    z = rng.gen.normal(0.0, params.sigma, (2, n))
-    return los + z[0] + 1j * z[1]
+    """n gains with a fixed LOS term plus scattered CN(0, 2*sigma^2)."""
+    return channel_gain(params, rng.gen.standard_normal((2, n)))
 
 
 def rayleigh_pdf(r, sigma: float):
@@ -138,54 +124,3 @@ def rician_pdf(r, params: RicianParams):
     a, s2 = params.amplitude, params.sigma * params.sigma
     out = (r / s2) * np.exp(-((r - a) ** 2) / (2.0 * s2)) * special.i0e(r * a / s2)
     return out if out.ndim else float(out)
-
-
-def jakes_psd(f, doppler: float):
-    """Jakes Doppler power spectral density 1/(pi f_D sqrt(1-(f/f_D)^2)).
-
-    Defined only strictly inside the band: |f| < doppler.
-    """
-    if not (doppler > 0 and math.isfinite(doppler)):
-        raise InvalidParameterError(f"doppler must be > 0, got {doppler}")
-    f = np.asarray(f, dtype=float)
-    if np.any(np.abs(f) >= doppler):
-        raise DomainError("jakes_psd is singular/undefined for |f| >= doppler")
-    out = 1.0 / (math.pi * doppler * np.sqrt(1.0 - (f / doppler) ** 2))
-    return out if out.ndim else float(out)
-
-
-def rician_autocorrelation(tau, params: RicianParams):
-    """Channel autocorrelation A^2 + 2 sigma^2 J0(2 pi f_D tau)."""
-    tau = np.asarray(tau, dtype=float)
-    a2 = params.amplitude * params.amplitude
-    out = a2 + 2.0 * params.sigma**2 * special.j0(2.0 * math.pi * params.doppler * tau)
-    return out if out.ndim else float(out)
-
-
-def k_factor(params: RicianParams) -> float:
-    """Rician K = A^2 / (2 sigma^2), the LOS-to-scattered power ratio."""
-    return params.amplitude**2 / (2.0 * params.sigma**2)
-
-
-def apply_channel(x: ComplexSample, h: ComplexSample, n: ComplexSample) -> ComplexSample:
-    """Received sample y = h*x + n."""
-    return h * x + n
-
-
-def estimate_k_moments(magnitudes: np.ndarray) -> float:
-    """Moment-based K estimate from gain magnitudes.
-
-    Uses m2 = E[r^2], m4 = E[r^4]: A^2 = sqrt(2 m2^2 - m4) and
-    2 sigma^2 = m2 - A^2, hence K = A^2 / (m2 - A^2).
-    """
-    r2 = np.asarray(magnitudes, dtype=float) ** 2
-    m2 = r2.mean()
-    m4 = (r2 * r2).mean()
-    disc = 2.0 * m2 * m2 - m4
-    if disc <= 0:
-        return 0.0
-    a2 = math.sqrt(disc)
-    scattered = m2 - a2
-    if scattered <= 0:
-        return math.inf
-    return a2 / scattered

@@ -39,7 +39,6 @@ from .channel_models import (
     sample_rician_gain_batch,
 )
 from .errors import (
-    ConvergenceError,
     DomainError,
     InstabilityError,
     InvalidConfigError,
@@ -109,8 +108,8 @@ _TOP_KEYS_OPTIONAL = frozenset(
 )
 _FADING_PARAM_KEYS = {
     "awgn": (frozenset({"n0"}), frozenset()),
-    "rayleigh": (frozenset({"sigma"}), frozenset({"doppler"})),
-    "rician": (frozenset({"amplitude", "sigma"}), frozenset({"phase", "doppler"})),
+    "rayleigh": (frozenset({"sigma"}), frozenset()),
+    "rician": (frozenset({"amplitude", "sigma"}), frozenset({"phase"})),
 }
 
 
@@ -167,13 +166,8 @@ def parse_fading_params(kind: str, obj, where: str):
     if kind == "awgn":
         return AwgnParams(n0=n["n0"])
     if kind == "rayleigh":
-        return RayleighParams(sigma=n["sigma"], doppler=n.get("doppler", 1.0))
-    return RicianParams(
-        amplitude=n["amplitude"],
-        sigma=n["sigma"],
-        phase=n.get("phase", 0.0),
-        doppler=n.get("doppler", 1.0),
-    )
+        return RayleighParams(sigma=n["sigma"])
+    return RicianParams(amplitude=n["amplitude"], sigma=n["sigma"], phase=n.get("phase", 0.0))
 
 
 @dataclass(frozen=True)
@@ -609,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _EXIT_BY_ERROR = (
     (StatisticalCheckError, 4),
-    ((InstabilityError, ConvergenceError), 3),
+    (InstabilityError, 3),
     (
         (
             InvalidConfigError,

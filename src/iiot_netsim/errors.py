@@ -21,10 +21,6 @@ class UnreachableTargetError(ValueError):
     """A calibration target cannot be bracketed by scaling the chosen field."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative solver exceeded its iteration cap."""
-
-
 class ShapeMismatchError(ValueError):
     """Tabular input is ragged or otherwise malformed."""
 

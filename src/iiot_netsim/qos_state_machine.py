@@ -1,38 +1,27 @@
 """MQTT QoS delivery semantics.
 
-The exactly-once (QoS 2) handshake is a five-state chain
-S1 idle -> S2 PUBLISH sent -> S3 PUBREC received -> S4 PUBREL sent
--> S5 PUBCOMP received, with per-leg success probabilities
-alpha, beta, gamma, delta.  Two readings of the chain coexist here:
+The exactly-once (QoS 2) handshake is a four-leg chain
+PUBLISH -> PUBREC -> PUBREL -> PUBCOMP.  A failed leg is retried up to
+max_retries times; a leg that exhausts its budget loses the packet.
+QoS 0 (fire and forget, one leg) and QoS 1 (PUBLISH+PUBACK, retried
+until both legs of one attempt succeed) are the baselines.
 
-* the raw transition matrix (column 5 sums to delta, so it is not
-  stochastic; kept in that form for auditability), and
-* retry-chain semantics (failed leg self-loops, success advances,
-  S5 absorbing), which is what the simulator actually runs.
-
-QoS 0 (fire and forget, one leg) and QoS 1 (PUBLISH+PUBACK,
-retry until acked, two legs per attempt) are provided as baselines.
+handshake_legs is the one implementation of these rules: the simulator
+runs it per tick, and the validation checks call it directly.
+reliability is the closed form of the chain with per-leg success
+probabilities alpha, beta, gamma, delta, and reliability_monte_carlo
+samples the process that closed form describes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InvalidParameterError
+from .errors import DomainError, InvalidParameterError
 from .rng import RngStream
 
-N_STATES = 5
 N_LEGS = 4
-
-
-class QoSState(IntEnum):
-    S1_IDLE = 1
-    S2_PUBLISH_SENT = 2
-    S3_PUBREC_RECEIVED = 3
-    S4_PUBREL_SENT = 4
-    S5_PUBCOMP_RECEIVED = 5
 
 
 @dataclass(frozen=True)
@@ -61,41 +50,60 @@ class QoSChainParams:
         return cls(p, p, p, p)
 
 
-@dataclass(frozen=True)
-class HandshakeOutcome:
-    """Result of one delivery attempt sequence.
+def handshake_rows(level: int, max_retries: int) -> int:
+    """Uniforms handshake_legs consumes per packet at this QoS level."""
+    if level not in (0, 1, 2):
+        raise InvalidParameterError(f"QoS level must be 0, 1 or 2, got {level}")
+    budget = max_retries + 1
+    return {0: 1, 1: 2 * budget, 2: 4}[level]
 
-    legs_attempted counts individual message transmissions (Bernoulli
-    trials); latency_legs counts the one-way legs charged to latency.
-    The two coincide for QoS 0 and 2; QoS 1 charges two legs per attempt
-    because the sender always waits out the ack window.
+
+def handshake_legs(
+    level: int, p: np.ndarray, leg_u: np.ndarray, max_retries: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(delivered, legs consumed) for a batch of packets.
+
+    p holds each packet's per-leg success probability and leg_u its
+    handshake_rows(level, max_retries) uniforms, one column per packet.
+    Legs are drawn by inverting the geometric CDF, one uniform per leg,
+    which matches the per-trial Bernoulli retry loop in distribution
+    while consuming a fixed number of draws per packet.
     """
-
-    delivered: bool
-    legs_attempted: int
-    latency_legs: int
-
-
-def build_transition_matrix(params: QoSChainParams) -> np.ndarray:
-    """The raw 5x5 chain matrix, column convention (pi' = P @ pi).
-
-    Diagonal (1-a, 1-b, 1-g, 1-d, 0), subdiagonal (a, b, g, d), and a
-    stray restart entry P[0,4] = delta.  Columns 1..4 are stochastic;
-    column 5 sums to delta, so this matrix is deliberately kept in its
-    raw, non-stochastic form (chain_absorption_probability holds the
-    normalized retry-chain dynamics).
-    """
-    a, b, g, d = params.legs()
-    p = np.zeros((N_STATES, N_STATES))
-    np.fill_diagonal(p, [1.0 - a, 1.0 - b, 1.0 - g, 1.0 - d, 0.0])
-    for i, leg in enumerate((a, b, g, d)):
-        p[i + 1, i] = leg
-    p[0, 4] = d
-    return p
+    n = p.shape[0]
+    budget = max_retries + 1
+    if level == 0:
+        return leg_u[0] < p, np.ones(n, dtype=np.int64)
+    if level == 1:
+        alive = np.ones(n, dtype=bool)
+        delivered = np.zeros(n, dtype=bool)
+        legs = np.zeros(n, dtype=np.int64)
+        for k in range(budget):
+            pub = leg_u[2 * k] < p
+            ack = leg_u[2 * k + 1] < p
+            legs[alive] += 2
+            delivered |= alive & pub
+            alive &= ~(pub & ack)
+        return delivered, legs
+    # QoS 2: four legs, each a capped geometric number of attempts
+    alive = np.ones(n, dtype=bool)
+    legs = np.zeros(n, dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        denom = np.log1p(-p)  # -inf at p=1, 0 at p=0
+        for i in range(4):
+            ratio = np.log1p(-leg_u[i]) / denom
+            # capped before the integer cast: a tiny p gives a ratio past
+            # the int64 range (or inf), and NaN also means an exhausted budget
+            trials = np.fmin(np.ceil(ratio), budget + 1)
+            trials = np.maximum(trials, 1.0)
+            trials = np.where(p <= 0.0, budget + 1, trials).astype(np.int64)
+            consumed = np.minimum(trials, budget)
+            legs[alive] += consumed[alive]
+            alive &= trials <= budget
+    return alive, legs
 
 
 def reliability(params: QoSChainParams) -> float:
-    """Closed-form probability of reaching S5.
+    """Closed-form probability that the handshake completes.
 
     R = (a*b*g*d) / (1 - (1-a)(1-b)(1-g)(1-d)); undefined when all four
     probabilities are zero (denominator vanishes).
@@ -105,141 +113,6 @@ def reliability(params: QoSChainParams) -> float:
     if denom <= 0.0:
         raise DomainError("reliability undefined: all leg probabilities are zero")
     return (a * b * g * d) / denom
-
-
-def simulate_handshake(
-    params: QoSChainParams, max_retries_per_leg: int, rng: RngStream
-) -> HandshakeOutcome:
-    """Walk S1..S5 with per-leg Bernoulli trials and per-leg retry caps.
-
-    Every trial consumes one latency leg.  A leg that exhausts its
-    retries aborts the handshake.
-    """
-    if max_retries_per_leg < 0:
-        raise InvalidParameterError("max_retries_per_leg must be >= 0")
-    gen = rng.gen
-    attempts = 0
-    for p in params.legs():
-        for _ in range(max_retries_per_leg + 1):
-            attempts += 1
-            if gen.random() < p:
-                break
-        else:
-            return HandshakeOutcome(False, attempts, attempts)
-    return HandshakeOutcome(True, attempts, attempts)
-
-
-def simulate_handshake_batch(
-    params: QoSChainParams, max_retries_per_leg: int, n: int, rng: RngStream
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized simulate_handshake: (delivered bool[n], legs int[n]).
-
-    Uses geometric draws: a leg with success probability p succeeds within
-    its budget iff Geometric(p) <= max_retries_per_leg + 1.
-    """
-    if max_retries_per_leg < 0:
-        raise InvalidParameterError("max_retries_per_leg must be >= 0")
-    gen = rng.gen
-    budget = max_retries_per_leg + 1
-    alive = np.ones(n, dtype=bool)
-    legs = np.zeros(n, dtype=np.int64)
-    for p in params.legs():
-        if p <= 0.0:
-            # never succeeds: alive packets burn the whole budget and die
-            legs[alive] += budget
-            alive[:] = False
-            break
-        trials = gen.geometric(p, n)
-        consumed = np.minimum(trials, budget)
-        legs[alive] += consumed[alive]
-        alive &= trials <= budget
-    return alive, legs
-
-
-def qos_delivery(
-    level: int,
-    leg_success_prob: float,
-    params: QoSChainParams,
-    rng: RngStream,
-    max_retries_per_leg: int = 8,
-) -> HandshakeOutcome:
-    """Delivery attempt under the given QoS level.
-
-    QoS 0: single unacknowledged leg.  QoS 1: PUBLISH+PUBACK, retried
-    until both legs of one attempt succeed or retries run out; the
-    message counts as delivered once any PUBLISH lands.  QoS 2:
-    delegates to simulate_handshake with params.
-    """
-    if level == 2:
-        return simulate_handshake(params, max_retries_per_leg, rng)
-    if not (0.0 <= leg_success_prob <= 1.0):
-        raise InvalidParameterError(f"leg_success_prob must be in [0,1], got {leg_success_prob}")
-    gen = rng.gen
-    if level == 0:
-        ok = gen.random() < leg_success_prob
-        return HandshakeOutcome(ok, 1, 1)
-    if level == 1:
-        delivered = False
-        legs = 0
-        for _ in range(max_retries_per_leg + 1):
-            legs += 2
-            publish_ok = gen.random() < leg_success_prob
-            delivered = delivered or publish_ok
-            if publish_ok and gen.random() < leg_success_prob:
-                break
-        return HandshakeOutcome(delivered, legs, legs)
-    raise InvalidParameterError(f"QoS level must be 0, 1 or 2, got {level}")
-
-
-def chain_absorption_probability(
-    params: QoSChainParams,
-    semantics: str,
-    steps: int | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 1_000_000,
-) -> float:
-    """Probability mass in S5 under one of the two chain readings.
-
-    retry-chain: failure self-loops, success advances, S5 absorbing;
-    returns the eventual absorption probability from S1 (linear solve on
-    the transient block).  literal-matrix: repeated multiplication by the
-    raw P from pi = e1; returns pi[S5] after `steps` steps, or the
-    fixed-point value when steps is None (error if the iteration does not
-    settle within max_iter).
-    """
-    if semantics == "retry-chain":
-        p_legs = params.legs()
-        if any(p <= 0.0 for p in p_legs):
-            return 0.0
-        # transient block: state i self-loops w.p. 1-p_i, advances w.p. p_i
-        q = np.diag([1.0 - p for p in p_legs]).astype(float)
-        for i in range(N_LEGS - 1):
-            q[i, i + 1] = p_legs[i]
-        r = np.zeros(N_LEGS)
-        r[N_LEGS - 1] = p_legs[-1]
-        x = np.linalg.solve(np.eye(N_LEGS) - q, r)
-        return float(x[0])
-    if semantics == "literal-matrix":
-        p = build_transition_matrix(params)
-        pi = np.zeros(N_STATES)
-        pi[0] = 1.0
-        if steps is not None:
-            if steps < 0:
-                raise InvalidParameterError("steps must be >= 0")
-            for _ in range(steps):
-                pi = p @ pi
-            return float(pi[4])
-        for _ in range(max_iter):
-            nxt = p @ pi
-            if np.abs(nxt - pi).sum() < tol:
-                return float(nxt[4])
-            pi = nxt
-        raise ConvergenceError(
-            f"literal-matrix iteration did not settle within {max_iter} steps"
-        )
-    raise InvalidParameterError(
-        f"semantics must be 'retry-chain' or 'literal-matrix', got {semantics!r}"
-    )
 
 
 def reliability_monte_carlo(params: QoSChainParams, n_runs: int, rng: RngStream) -> float:

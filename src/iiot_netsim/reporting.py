@@ -43,17 +43,25 @@ class RttSummary:
     count: int
 
 
+def latency_stats(values) -> tuple[float | None, float | None, float | None]:
+    """(min, avg, max) of a sequence; all None when it is empty.
+
+    The mean sum/len can round outside [min, max] (three copies of 0.1
+    average to 0.10000000000000002), so it is clamped back into range.
+    """
+    if not values:
+        return None, None, None
+    lo, hi = min(values), max(values)
+    return lo, min(max(sum(values) / len(values), lo), hi), hi
+
+
 def summarize_rtt(records) -> RttSummary:
     """Min/max/avg latency over delivered packets; empty input stays empty."""
     lat = [r.latency_s for r in records if r.delivered]
     if not lat:
         return RttSummary(None, None, None, 0)
-    return RttSummary(
-        min_ms=min(lat) * 1e3,
-        max_ms=max(lat) * 1e3,
-        avg_ms=(sum(lat) / len(lat)) * 1e3,
-        count=len(lat),
-    )
+    lo, avg, hi = latency_stats(lat)
+    return RttSummary(min_ms=lo * 1e3, max_ms=hi * 1e3, avg_ms=avg * 1e3, count=len(lat))
 
 
 def windowed_series(
@@ -85,6 +93,7 @@ def windowed_series(
         rows = buckets.get(idx, [])
         delivered = [r for r in rows if r.delivered]
         lat_ms = [r.latency_s * 1e3 for r in delivered]
+        lo, avg, hi = latency_stats(lat_ms)
         out.append(
             IntervalReport(
                 window_start_s=idx * window,
@@ -93,9 +102,9 @@ def windowed_series(
                 delivered=len(delivered),
                 lost=len(rows) - len(delivered),
                 throughput_bps=len(delivered) * bits_per_packet / window,
-                avg_latency_ms=sum(lat_ms) / len(lat_ms) if lat_ms else None,
-                min_latency_ms=min(lat_ms) if lat_ms else None,
-                max_latency_ms=max(lat_ms) if lat_ms else None,
+                avg_latency_ms=avg,
+                min_latency_ms=lo,
+                max_latency_ms=hi,
             )
         )
     return out

@@ -10,7 +10,7 @@ seconds internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from scipy import optimize
 
@@ -166,8 +166,3 @@ def calibrate_to_target(
             f"unreachable-target: best {free_param} scale lands at {achieved:.6g} s"
         )
     return out
-
-
-def hop_field_names() -> tuple[str, ...]:
-    """HopConfig field names in declaration order (CSV column order)."""
-    return tuple(f.name for f in fields(HopConfig))

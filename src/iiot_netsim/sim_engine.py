@@ -1,12 +1,14 @@
 """Tick-driven network simulation: N sensor nodes, one central server.
 
 Each tick, every node offers a burst of packets.  A packet draws its own
-channel realization (block fading: one draw reused by every leg and retry
-of that packet), the instantaneous SNR maps to a per-leg success
-probability through a logistic threshold curve, and the QoS handshake
-determines delivery and the number of one-way legs consumed.  Delivered
-packets then queue FIFO at the central server (one exponential server
-whose rate is the base hop's service_rate), so end-to-end latency is
+channel realization (channel_models.channel_gain; block fading: one draw
+reused by every leg and retry of that packet), the instantaneous SNR maps
+to a per-leg success probability through a logistic threshold curve, and
+the QoS handshake (qos_state_machine.handshake_legs) determines delivery
+and the number of one-way legs consumed.  The validation commands check
+those same two functions.  Delivered packets then queue FIFO at the
+central server (one exponential server whose rate is the base hop's
+service_rate), so end-to-end latency is
 
     legs_consumed * one_way + server_queue_wait
 
@@ -29,10 +31,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import expit
 
-from .channel_models import AwgnParams, RayleighParams, RicianParams
+from .channel_models import AwgnParams, RayleighParams, RicianParams, channel_gain
 from .errors import InvalidConfigError, InvalidParameterError
+from .qos_state_machine import handshake_legs, handshake_rows
 from .queueing_model import QueueParams
-from .reporting import IntervalReport, windowed_series
+from .reporting import IntervalReport, latency_stats, windowed_series
 from .rng import DOMAIN_PACKET, DOMAIN_RATE_JITTER, DOMAIN_SERVER, RngStream
 from .rtt_model import HopConfig, compute_rtt
 
@@ -180,11 +183,9 @@ class PacketRecord:
 
 @dataclass
 class SensorNode:
-    """One traffic source; counters are cumulative across ticks."""
+    """One traffic source."""
 
     id: int
-    sent: int = 0
-    lost: int = 0
 
     def packets_for_tick(self, config: SimulationConfig, root: RngStream, tick: int) -> int:
         base = config.rate_at_tick(tick)
@@ -199,21 +200,13 @@ class SensorNode:
 class CentralServer:
     """Single FIFO exponential server; free_at persists across ticks."""
 
-    mu: float
     free_at: float = 0.0
-    received: int = 0
-    latency_sum_s: float = 0.0
 
     def admit(self, arrival: float, service: float) -> float:
         """Queue one packet; returns its waiting time."""
         start = self.free_at if self.free_at > arrival else arrival
         self.free_at = start + service
         return start - arrival
-
-    def reset(self) -> None:
-        self.free_at = 0.0
-        self.received = 0
-        self.latency_sum_s = 0.0
 
 
 @dataclass
@@ -250,13 +243,8 @@ def make_state(config: SimulationConfig) -> SimulationState:
         config=config,
         root=RngStream(config.seed),
         nodes=[SensorNode(id=i) for i in range(1, config.node_count + 1)],
-        server=CentralServer(mu=config.server_mu()),
+        server=CentralServer(),
     )
-
-
-def _leg_rows(config: SimulationConfig) -> int:
-    budget = config.max_retries_per_leg + 1
-    return {0: 1, 1: 2 * budget, 2: 4}[config.qos_level]
 
 
 def _leg_success_prob(config: SimulationConfig, z: np.ndarray) -> np.ndarray:
@@ -270,61 +258,15 @@ def _leg_success_prob(config: SimulationConfig, z: np.ndarray) -> np.ndarray:
         return np.ones(n)
     if config.fading == "awgn":
         snr = np.full(n, 1.0 / config.fading_params.n0)
-    elif config.fading == "rayleigh":
-        s = config.fading_params.sigma
-        snr = (s * s) * (z[0] ** 2 + z[1] ** 2) / config.noise_n0
-    else:  # rician
-        p = config.fading_params
-        h_i = p.amplitude * math.cos(p.phase) + p.sigma * z[0]
-        h_q = p.amplitude * math.sin(p.phase) + p.sigma * z[1]
-        snr = (h_i**2 + h_q**2) / config.noise_n0
+    else:  # rayleigh, rician
+        h = channel_gain(config.fading_params, z)
+        snr = (h.real**2 + h.imag**2) / config.noise_n0
     if config.snr_threshold_db is None:
         return np.ones(n)
     per = per_packet_error_probability(
         snr, config.base_hop.packet_length, config.snr_threshold_db
     )
     return 1.0 - per
-
-
-def _legs_outcome(
-    level: int, p: np.ndarray, leg_u: np.ndarray, max_retries: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(delivered, legs consumed) for a batch of packets.
-
-    Legs are drawn by inverting the geometric CDF, one uniform per leg,
-    which matches the per-trial Bernoulli retry loop in distribution
-    while consuming a fixed number of draws per packet.
-    """
-    n = p.shape[0]
-    budget = max_retries + 1
-    if level == 0:
-        return leg_u[0] < p, np.ones(n, dtype=np.int64)
-    if level == 1:
-        alive = np.ones(n, dtype=bool)
-        delivered = np.zeros(n, dtype=bool)
-        legs = np.zeros(n, dtype=np.int64)
-        for k in range(budget):
-            pub = leg_u[2 * k] < p
-            ack = leg_u[2 * k + 1] < p
-            legs[alive] += 2
-            delivered |= alive & pub
-            alive &= ~(pub & ack)
-        return delivered, legs
-    # QoS 2: four legs, each a capped geometric number of attempts
-    alive = np.ones(n, dtype=bool)
-    legs = np.zeros(n, dtype=np.int64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = np.log1p(-p)  # -inf at p=1, 0 at p=0
-        for i in range(4):
-            ratio = np.log1p(-leg_u[i]) / denom
-            trials = np.ceil(ratio)
-            trials = np.where(np.isfinite(trials), trials, budget + 1)
-            trials = np.maximum(trials, 1.0)
-            trials = np.where(p <= 0.0, budget + 1, trials).astype(np.int64)
-            consumed = np.minimum(trials, budget)
-            legs[alive] += consumed[alive]
-            alive &= trials <= budget
-    return alive, legs
 
 
 def run_tick(state: SimulationState, t: int) -> IntervalReport:
@@ -340,7 +282,7 @@ def run_tick(state: SimulationState, t: int) -> IntervalReport:
     tick_start = (t - 1) * cfg.tick_s
     one_way = cfg.one_way_s()
     span = cfg.tick_s - cfg.handshake_guard_s()
-    leg_rows = _leg_rows(cfg)
+    leg_rows = handshake_rows(cfg.qos_level, cfg.max_retries_per_leg)
 
     tick_records: list[PacketRecord] = []
     queued = []  # (arrival, node_id, pkt, record) for delivered packets
@@ -357,12 +299,10 @@ def run_tick(state: SimulationState, t: int) -> IntervalReport:
         )
 
         p_leg = _leg_success_prob(cfg, z)
-        delivered, legs = _legs_outcome(cfg.qos_level, p_leg, leg_u, cfg.max_retries_per_leg)
+        delivered, legs = handshake_legs(cfg.qos_level, p_leg, leg_u, cfg.max_retries_per_leg)
         send = tick_start + u_send * span
         travel = legs * one_way
 
-        node.sent += n_pkts
-        node.lost += int(np.count_nonzero(~delivered))
         for k in range(n_pkts):
             rec = PacketRecord(
                 node=node.id,
@@ -383,13 +323,12 @@ def run_tick(state: SimulationState, t: int) -> IntervalReport:
     for arrival, _node, _pkt, svc, rec in queued:
         wait = state.server.admit(arrival, svc)
         rec.latency_s = (arrival - rec.send_time_s) + wait
-        state.server.received += 1
-        state.server.latency_sum_s += rec.latency_s
 
     state.records.extend(tick_records)
     lat_ms = [r.latency_s * 1e3 for r in tick_records if r.delivered]
     n_sent = len(tick_records)
     n_del = len(lat_ms)
+    lo, avg, hi = latency_stats(lat_ms)
     return IntervalReport(
         window_start_s=tick_start,
         window_len_s=cfg.tick_s,
@@ -397,27 +336,27 @@ def run_tick(state: SimulationState, t: int) -> IntervalReport:
         delivered=n_del,
         lost=n_sent - n_del,
         throughput_bps=n_del * cfg.base_hop.packet_length / cfg.tick_s,
-        avg_latency_ms=sum(lat_ms) / n_del if n_del else None,
-        min_latency_ms=min(lat_ms) if n_del else None,
-        max_latency_ms=max(lat_ms) if n_del else None,
+        avg_latency_ms=avg,
+        min_latency_ms=lo,
+        max_latency_ms=hi,
     )
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:
-    """Run every tick, then summarize and reset the server."""
+    """Run every tick, then summarize."""
     state = make_state(config)
     tick_reports = [run_tick(state, t) for t in range(1, config.n_ticks() + 1)]
     lat = [r.latency_s for r in state.records if r.delivered]
     sent = len(state.records)
+    lo, avg, hi = latency_stats(lat)
     summary = SimulationSummary(
         sent=sent,
         delivered=len(lat),
         lost=sent - len(lat),
-        min_latency_s=min(lat) if lat else None,
-        avg_latency_s=sum(lat) / len(lat) if lat else None,
-        max_latency_s=max(lat) if lat else None,
+        min_latency_s=lo,
+        avg_latency_s=avg,
+        max_latency_s=hi,
     )
-    state.server.reset()
     return SimulationResult(tick_reports=tick_reports, summary=summary, records=state.records)
 
 

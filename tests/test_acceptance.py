@@ -28,8 +28,9 @@ from iiot_netsim.channel_models import (
 )
 from iiot_netsim.qos_state_machine import (
     QoSChainParams,
+    handshake_legs,
+    handshake_rows,
     reliability,
-    simulate_handshake_batch,
 )
 from iiot_netsim.queueing_model import (
     QueueParams,
@@ -101,9 +102,10 @@ def test_criterion_1_channel_statistics(capsys):
 
 def test_criterion_2_qos_reliability(capsys):
     t0 = time.perf_counter()
-    params = QoSChainParams.uniform(0.9)
+    # the handshake the simulator runs, at QoS 2 with no retries
     n = 10**6
-    delivered, _ = simulate_handshake_batch(params, 0, n, RngStream(SEED).child("qos-mc"))
+    leg_u = RngStream(SEED).child("qos-mc").gen.random((handshake_rows(2, 0), n))
+    delivered, _ = handshake_legs(2, np.full(n, 0.9), leg_u, 0)
     frac = float(np.mean(delivered))
     target = 0.9**4
     se = math.sqrt(target * (1.0 - target) / n)

@@ -1,4 +1,4 @@
-"""Channel model tests: moment checks, KS fits, Bessel oracle, reproducibility."""
+"""Channel model tests: the gain source, moment checks, KS fits, Bessel oracle, reproducibility."""
 import math
 
 import numpy as np
@@ -9,16 +9,11 @@ from iiot_netsim.channel_models import (
     AwgnParams,
     RayleighParams,
     RicianParams,
-    apply_channel,
-    estimate_k_moments,
-    jakes_psd,
-    k_factor,
+    channel_gain,
     rayleigh_cdf,
     rayleigh_pdf,
-    rician_autocorrelation,
     rician_pdf,
     sample_awgn_batch,
-    sample_rayleigh_gain,
     sample_rayleigh_gain_batch,
     sample_rician_gain_batch,
 )
@@ -80,12 +75,6 @@ def test_rayleigh_moments():
     assert np.all(r >= 0)
 
 
-def test_rayleigh_scalar_sampler():
-    h = sample_rayleigh_gain(RayleighParams(sigma=2.0), stream("ray-one"))
-    assert isinstance(h, complex)
-    assert np.isfinite(h.real) and np.isfinite(h.imag)
-
-
 # ---- closed-form densities ----------------------------------------------
 
 
@@ -128,45 +117,42 @@ def test_pdf_normalization_sweep(amplitude, sigma):
     assert abs(val_ray - 1.0) < 1e-6
 
 
-# ---- spectral / correlation functions -----------------------------------
+# ---- the single gain source ---------------------------------------------
 
 
-def test_jakes_psd_center():
-    assert abs(jakes_psd(0.0, doppler=10.0) - 1.0 / (10.0 * math.pi)) < 1e-12
+@pytest.mark.parametrize(
+    "params,sampler",
+    [
+        (RayleighParams(sigma=0.7), sample_rayleigh_gain_batch),
+        (RicianParams(amplitude=1.3, sigma=0.7, phase=0.9), sample_rician_gain_batch),
+    ],
+    ids=["rayleigh", "rician"],
+)
+def test_samplers_are_channel_gain(params, sampler):
+    n = 1000
+    h = sampler(params, n, RngStream(42, (3,)))
+    z = RngStream(42, (3,)).gen.standard_normal((2, n))
+    np.testing.assert_array_equal(h, channel_gain(params, z))
 
 
-def test_jakes_psd_band_edge_growth():
-    fd = 10.0
-    assert jakes_psd(0.999 * fd, fd) > 10.0 * jakes_psd(0.0, fd)
-    with pytest.raises(DomainError):
-        jakes_psd(fd, fd)
-    with pytest.raises(DomainError):
-        jakes_psd(-1.5 * fd, fd)
+def test_channel_gain_formula():
+    z = np.array([[0.5, -1.0, 0.0], [2.0, 0.25, -3.0]])
+    h = channel_gain(RayleighParams(sigma=2.0), z)
+    np.testing.assert_array_equal(h, 2.0 * z[0] + 2.0j * z[1])
+    los = 3.0 * complex(math.cos(0.4), math.sin(0.4))
+    h = channel_gain(RicianParams(amplitude=3.0, sigma=2.0, phase=0.4), z)
+    np.testing.assert_allclose(h, los + 2.0 * z[0] + 2.0j * z[1], rtol=0, atol=1e-15)
 
 
 def test_rician_autocorrelation():
-    p = RicianParams(amplitude=1.0, sigma=1.0, doppler=1.0)
-    assert abs(rician_autocorrelation(0.0, p) - 3.0) < 1e-12
-    p0 = RicianParams(amplitude=0.0, sigma=1.0, doppler=1.0)
-    assert abs(rician_autocorrelation(0.0, p0) - 2.0) < 1e-12
-    # at the first zero of J0 only the LOS power A^2 remains
-    j0_root = 2.404825557695773
-    tau = j0_root / (2.0 * math.pi * p.doppler)
-    assert abs(rician_autocorrelation(tau, p) - 1.0) < 1e-10
-
-
-def test_k_factor():
-    assert k_factor(RicianParams(amplitude=0.0, sigma=1.0)) == 0.0
-    assert abs(k_factor(RicianParams(amplitude=1.0, sigma=1.0)) - 0.5) < 1e-15
-    assert abs(k_factor(RicianParams(amplitude=2.0, sigma=1.0)) - 2.0) < 1e-15
-    assert abs(k_factor(RicianParams(amplitude=1.0, sigma=1.0 / math.sqrt(2.0))) - 1.0) < 1e-12
-
-
-def test_apply_channel():
-    assert apply_channel(complex(0.3, -0.2), complex(1, 0), complex(0, 0)) == complex(0.3, -0.2)
-    assert apply_channel(complex(1, 0), complex(0, 1), complex(0, 0)) == complex(0, 1)
-    y = apply_channel(complex(1, 0), complex(0.6, 0.8), complex(0.1, -0.1))
-    assert abs(y - complex(0.7, 0.7)) < 1e-15
+    # fading is i.i.d. per packet: the correlation E[h_k conj(h_k+lag)] is the
+    # total power A^2 + 2 sigma^2 at lag 0 and only the LOS power A^2 beyond
+    p = RicianParams(amplitude=1.0, sigma=1.0, phase=0.7)
+    h = sample_rician_gain_batch(p, N_BIG, stream("ric-acf"))
+    assert abs(np.mean(np.abs(h) ** 2) - 3.0) < 0.02
+    for lag in (1, 2, 5):
+        r = np.mean(h[:-lag] * np.conj(h[lag:]))
+        assert abs(r - 1.0) < 0.02
 
 
 # ---- distribution fits ----------------------------------------------------
@@ -204,7 +190,11 @@ def test_k_moment_estimator(k_target):
     amp = math.sqrt(2.0 * k_target) * sigma
     p = RicianParams(amplitude=amp, sigma=sigma, phase=0.9)
     h = sample_rician_gain_batch(p, N_BIG, stream("kmom", str(k_target)))
-    k_hat = estimate_k_moments(np.abs(h))
+    # moment estimate: A^2 = sqrt(2 m2^2 - m4), scattered power 2 sigma^2 = m2 - A^2
+    r2 = np.abs(h) ** 2
+    m2, m4 = r2.mean(), (r2 * r2).mean()
+    a2 = math.sqrt(2.0 * m2 * m2 - m4)
+    k_hat = a2 / (m2 - a2)
     assert abs(k_hat - k_target) / k_target < 0.05
 
 
@@ -219,17 +209,6 @@ def test_bessel_i0_oracle():
     for z in np.logspace(-3, 3, 25):
         ref = float(mpmath.besseli(0, z) * mpmath.exp(-z))
         assert abs(i0e(z) - ref) <= 1e-10 * max(1.0, abs(ref))
-
-
-def test_bessel_j0_oracle():
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
-    from scipy.special import j0
-
-    for x in np.linspace(0.0, 50.0, 101):
-        ref = float(mpmath.besselj(0, x))
-        # absolute floor handles points near the oscillating roots
-        assert abs(j0(x) - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
 # ---- reproducibility -------------------------------------------------------

@@ -112,6 +112,22 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "nodecount" in err
 
+    @pytest.mark.parametrize(
+        "kind,params", [("rayleigh", {"sigma": 1.0}), ("rician", {"amplitude": 1.0, "sigma": 1.0})]
+    )
+    def test_doppler_key_exits_2(self, tmp_path, capsys, kind, params):
+        # fading is i.i.d. per packet, so a Doppler spread is not a config key
+        doc = load_doc("default_simulate.json")
+        doc["fading"] = kind
+        doc["fading_params"] = {**params, "doppler": 5.0}
+        out = tmp_path / "o"
+        rc = cli.main(["simulate", "--config", write_doc(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "doppler" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_overload_exits_3(self, tmp_path, capsys):
         doc = load_doc("default_simulate.json")
         doc["base_hop"]["service_rate_pps"] = 250.0  # offered 5*60=300 exceeds capacity

@@ -1,4 +1,4 @@
-"""Handshake chain tests: matrix shape, closed form, Monte-Carlo agreement."""
+"""Handshake tests: the batch handshake, closed form, Monte-Carlo agreement."""
 import math
 
 import numpy as np
@@ -6,19 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iiot_netsim.errors import ConvergenceError, DomainError, InvalidParameterError
+from iiot_netsim.channel_models import RayleighParams, channel_gain
+from iiot_netsim.errors import DomainError, InvalidParameterError
 from iiot_netsim.qos_state_machine import (
-    HandshakeOutcome,
     QoSChainParams,
-    build_transition_matrix,
-    chain_absorption_probability,
-    qos_delivery,
+    handshake_legs,
+    handshake_rows,
     reliability,
     reliability_monte_carlo,
-    simulate_handshake,
-    simulate_handshake_batch,
 )
-from iiot_netsim.rng import RngStream
+from iiot_netsim.rng import DOMAIN_PACKET, RngStream
+from iiot_netsim.rtt_model import HopConfig
+from iiot_netsim.sim_engine import SimulationConfig, per_packet_error_probability, run_simulation
 
 SEED = 7041
 
@@ -30,37 +29,7 @@ def stream(*path):
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
-# ---- transition matrix -------------------------------------------------
-
-
-def test_matrix_all_success():
-    p = build_transition_matrix(QoSChainParams.uniform(1.0))
-    assert np.all(np.diag(p) == 0.0)
-    for i in range(4):
-        assert p[i + 1, i] == 1.0
-    assert p[0, 4] == 1.0
-
-
-def test_matrix_all_fail():
-    p = build_transition_matrix(QoSChainParams.uniform(0.0))
-    np.testing.assert_array_equal(np.diag(p), [1, 1, 1, 1, 0])
-    assert np.all(p[:, 4] == 0.0)
-
-
-def test_matrix_mixed():
-    p = build_transition_matrix(QoSChainParams(0.5, 1.0, 1.0, 1.0))
-    assert p[0, 0] == 0.5
-    assert p[1, 0] == 0.5
-
-
-@given(probs, probs, probs, probs)
-def test_matrix_column_sums(a, b, g, d):
-    p = build_transition_matrix(QoSChainParams(a, b, g, d))
-    sums = p.sum(axis=0)
-    # first four columns stochastic; fifth sums to delta by design
-    np.testing.assert_allclose(sums[:4], 1.0, atol=1e-15)
-    assert abs(sums[4] - d) <= 1e-15
-    assert np.all(p >= 0.0) and np.all(p <= 1.0)
+# ---- parameters ----------------------------------------------------------
 
 
 def test_params_validation():
@@ -102,25 +71,46 @@ def test_reliability_monotone_grid():
             prev = r
 
 
-# ---- handshake simulation -------------------------------------------------
+# ---- the handshake ---------------------------------------------------------
+
+
+def hop() -> HopConfig:
+    return HopConfig(
+        distance=30.0,
+        propagation_speed=3e8,
+        packet_length=1000.0,
+        link_rate=1e6,
+        processing_delay=0.5e-3,
+        arrival_rate=60.0,
+        service_rate=1000.0,
+    )
+
+
+def handshake(level, p, n, retries, *path):
+    """handshake_legs on n packets that share the leg success probability p."""
+    leg_u = stream(*path).gen.random((handshake_rows(level, retries), n))
+    return handshake_legs(level, np.full(n, p), leg_u, retries)
 
 
 def test_handshake_no_failures():
-    out = simulate_handshake(QoSChainParams.uniform(1.0), 0, stream("hs-1"))
-    assert out == HandshakeOutcome(True, 4, 4)
+    delivered, legs = handshake(2, 1.0, 100, 0, "hs-1")
+    assert delivered.all()
+    assert np.all(legs == 4)
 
 
 def test_handshake_first_leg_dead():
-    out = simulate_handshake(QoSChainParams(0.0, 1.0, 1.0, 1.0), 0, stream("hs-0"))
-    assert out == HandshakeOutcome(False, 1, 1)
+    # with no retries a dead channel ends the handshake on its first leg
+    delivered, legs = handshake(2, 0.0, 100, 0, "hs-0")
+    assert not delivered.any()
+    assert np.all(legs == 1)
 
 
 def test_handshake_batch_zero_retries_matches_product():
-    # criterion: delivered fraction = a*b*g*d within 3 standard errors at 1e6
+    # criterion: delivered fraction = p^4 within 3 standard errors at 1e6
     n = 10**6
     p = 0.9
     target = p**4
-    delivered, legs = simulate_handshake_batch(QoSChainParams.uniform(p), 0, n, stream("hs-b0"))
+    delivered, legs = handshake(2, p, n, 0, "hs-b0")
     se = math.sqrt(target * (1 - target) / n)
     assert abs(delivered.mean() - target) < 3 * se
     assert legs.max() <= 4
@@ -129,119 +119,111 @@ def test_handshake_batch_zero_retries_matches_product():
 def test_handshake_batch_unlimited_retries():
     # generous cap stands in for unlimited: overflow odds ~ 0.1^200
     n = 10**6
-    delivered, legs = simulate_handshake_batch(
-        QoSChainParams.uniform(0.9), 200, n, stream("hs-binf")
-    )
+    delivered, legs = handshake(2, 0.9, n, 200, "hs-binf")
     assert delivered.all()
     assert abs(legs.mean() - 4.0 / 0.9) < 0.01
 
 
-def test_handshake_batch_mixed_legs_expected_attempts():
-    # mean attempts = 1/a + 1/b + 1/g + 1/d when retries are unlimited
-    params = QoSChainParams(0.5, 0.8, 0.9, 0.6)
-    expect = sum(1.0 / p for p in params.legs())
-    delivered, legs = simulate_handshake_batch(params, 400, 10**6, stream("hs-mix"))
-    assert delivered.all()
-    assert abs(legs.mean() - expect) / expect < 0.01
-
-
 def test_handshake_batch_dead_leg():
-    delivered, legs = simulate_handshake_batch(QoSChainParams(1, 1, 0, 1), 2, 100, stream("hs-d"))
-    assert not delivered.any()
-    # two sure legs plus the full budget burned on the dead third leg
-    assert np.all(legs == 2 + 3)
+    # the first leg burns its whole budget of three attempts, then the packet is lost;
+    # a p whose geometric trial count lies past the int64 range acts the same
+    for p in (0.0, 1e-40, 1e-300):
+        delivered, legs = handshake(2, p, 100, 2, "hs-d")
+        assert not delivered.any()
+        assert np.all(legs == 3)
 
 
 def test_handshake_scalar_batch_agree():
-    params = QoSChainParams.uniform(0.8)
-    outs = [simulate_handshake(params, 3, stream("hs-sc", i)) for i in range(20000)]
-    frac_scalar = sum(o.delivered for o in outs) / len(outs)
-    delivered, _ = simulate_handshake_batch(params, 3, 200000, stream("hs-bt"))
-    assert abs(frac_scalar - delivered.mean()) < 0.01
+    # packets are independent: one call per packet equals one call per batch
+    retries = 3
+    p = stream("hs-p").gen.random(200)
+    leg_u = stream("hs-u").gen.random((handshake_rows(2, retries), 200))
+    delivered, legs = handshake_legs(2, p, leg_u, retries)
+    for k in range(200):
+        one_delivered, one_legs = handshake_legs(2, p[k : k + 1], leg_u[:, k : k + 1], retries)
+        assert (one_delivered[0], one_legs[0]) == (delivered[k], legs[k])
+
+
+def test_retry_chain_absorption():
+    # with retries unbounded in practice, every live channel delivers and a dead one never does
+    delivered, _ = handshake(2, 0.2, 10**4, 400, "hs-abs")
+    assert delivered.all()
+    delivered, _ = handshake(2, 0.0, 10**4, 400, "hs-abs0")
+    assert not delivered.any()
 
 
 # ---- QoS levels -------------------------------------------------------------
 
 
 def test_qos0():
-    out = qos_delivery(0, 1.0, QoSChainParams.uniform(1.0), stream("q0"))
-    assert out == HandshakeOutcome(True, 1, 1)
-    out = qos_delivery(0, 0.0, QoSChainParams.uniform(1.0), stream("q0b"))
-    assert out == HandshakeOutcome(False, 1, 1)
+    delivered, legs = handshake(0, 1.0, 50, 8, "q0")
+    assert delivered.all() and np.all(legs == 1)
+    delivered, legs = handshake(0, 0.0, 50, 8, "q0b")
+    assert not delivered.any() and np.all(legs == 1)
 
 
 def test_qos1():
-    out = qos_delivery(1, 1.0, QoSChainParams.uniform(1.0), stream("q1"))
-    assert out == HandshakeOutcome(True, 2, 2)
-    out = qos_delivery(1, 0.0, QoSChainParams.uniform(1.0), stream("q1b"), max_retries_per_leg=3)
-    assert out.delivered is False
-    assert out.latency_legs == 2 * 4
+    delivered, legs = handshake(1, 1.0, 50, 8, "q1")
+    assert delivered.all() and np.all(legs == 2)
+    delivered, legs = handshake(1, 0.0, 50, 3, "q1b")
+    assert not delivered.any()
+    assert np.all(legs == 2 * 4)
 
 
 def test_qos2_delegates():
-    params = QoSChainParams(0.7, 0.9, 0.8, 0.6)
-    a = qos_delivery(2, 0.5, params, stream("q2", 17), max_retries_per_leg=5)
-    b = simulate_handshake(params, 5, stream("q2", 17))
-    assert a == b
+    # the simulator's QoS 2 outcomes are handshake_legs on the same draws
+    n = 200
+    cfg = SimulationConfig(
+        node_count=1,
+        duration_s=1.0,
+        base_hop=hop(),
+        seed=SEED,
+        fading="rayleigh",
+        fading_params=RayleighParams(sigma=1.0),
+        snr_threshold_db=0.0,
+        packets_per_node_per_tick=n,
+        max_retries_per_leg=2,
+    )
+    records = run_simulation(cfg).records
+    gen = RngStream(SEED).child(DOMAIN_PACKET, 1, 1).gen
+    gen.random(n)  # send times
+    h = channel_gain(cfg.fading_params, gen.standard_normal((2, n)))
+    leg_u = gen.random((handshake_rows(2, 2), n))
+    snr = (h.real**2 + h.imag**2) / cfg.noise_n0
+    p = 1.0 - per_packet_error_probability(snr, cfg.base_hop.packet_length, 0.0)
+    delivered, legs = handshake_legs(2, p, leg_u, 2)
+    assert [r.delivered for r in records] == delivered.tolist()
+    assert [r.attempts for r in records] == legs.tolist()
+    assert not delivered.all() and legs.max() > 4  # retries and losses both occur
 
 
 def test_qos_level_guard():
     with pytest.raises(InvalidParameterError):
-        qos_delivery(3, 0.5, QoSChainParams.uniform(0.5), stream("qx"))
+        handshake_rows(3, 8)
 
 
 @settings(max_examples=60)
 @given(st.floats(min_value=0.05, max_value=1.0), st.integers(min_value=0, max_value=6))
 def test_delivered_implies_four_legs(p, retries):
-    out = simulate_handshake(QoSChainParams.uniform(p), retries, stream("prop", int(p * 1e6), retries))
-    if out.delivered:
-        assert out.legs_attempted >= 4
-    assert out.latency_legs == out.legs_attempted
+    delivered, legs = handshake(2, p, 64, retries, "prop", int(p * 1e6), retries)
+    assert np.all(legs[delivered] >= 4)
+    assert np.all(legs <= 4 * (retries + 1))
 
 
-# ---- absorption semantics ---------------------------------------------------
-
-
-def test_retry_chain_absorption():
-    assert chain_absorption_probability(QoSChainParams(0.2, 0.9, 0.5, 0.1), "retry-chain") == pytest.approx(1.0, abs=1e-12)
-    assert chain_absorption_probability(QoSChainParams(0.2, 0.9, 0.5, 0.0), "retry-chain") == 0.0
-    assert chain_absorption_probability(QoSChainParams(0.0, 1.0, 1.0, 1.0), "retry-chain") == 0.0
-
-
-def test_literal_matrix_four_steps_is_straight_path():
-    # after exactly 4 steps only the no-retry path has arrived: a*b*g*d
-    params = QoSChainParams.uniform(0.9)
-    pi5 = chain_absorption_probability(params, "literal-matrix", steps=4)
-    assert abs(pi5 - 0.6561) < 1e-12
-    # the literal chain never reaches the closed form R: S5 drains
-    # through the stray restart entry, so the gap is real and visible
-    assert abs(pi5 - reliability(params)) > 5e-5
-
-
-def test_literal_matrix_eight_steps():
-    pi5 = chain_absorption_probability(QoSChainParams.uniform(0.9), "literal-matrix", steps=8)
-    assert abs(pi5 - 0.00229635) < 1e-9
-
-
-def test_literal_matrix_fixed_points():
-    # delta < 1 leaks mass every pass through S5: the limit is zero
-    lim = chain_absorption_probability(QoSChainParams.uniform(0.9), "literal-matrix")
-    assert lim < 1e-8
-    # delta = 1 closes the cycle; stationary pi5 = 1/6 for alpha = 0.5
-    lim = chain_absorption_probability(QoSChainParams(0.5, 1, 1, 1), "literal-matrix")
-    assert abs(lim - 1.0 / 6.0) < 1e-8
-
-
-def test_literal_matrix_periodic_no_convergence():
-    with pytest.raises(ConvergenceError):
-        chain_absorption_probability(
-            QoSChainParams.uniform(1.0), "literal-matrix", max_iter=1000
-        )
-
-
-def test_semantics_guard():
-    with pytest.raises(InvalidParameterError):
-        chain_absorption_probability(QoSChainParams.uniform(0.5), "bogus")
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 1, 2]), probs, st.integers(min_value=0, max_value=6))
+def test_legs_within_bounds_every_level(level, p, retries):
+    cfg = SimulationConfig(
+        node_count=1,
+        duration_s=1.0,
+        base_hop=hop(),
+        seed=SEED,
+        qos_level=level,
+        max_retries_per_leg=retries,
+    )
+    delivered, legs = handshake(level, p, 64, retries, "bounds", level, int(p * 1e6), retries)
+    assert np.all(legs[delivered] >= cfg.min_legs())
+    assert np.all(legs <= cfg.max_total_legs())
 
 
 # ---- Monte-Carlo reliability ------------------------------------------------

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iiot_netsim.channel_models import AwgnParams, RayleighParams, RicianParams
+from iiot_netsim.channel_models import AwgnParams, RayleighParams, RicianParams, channel_gain
 from iiot_netsim.errors import InstabilityError, InvalidConfigError, InvalidParameterError
+from iiot_netsim.rng import RngStream
 from iiot_netsim.rtt_model import HopConfig
 from iiot_netsim.sim_engine import (
     CentralServer,
     FadingSpec,
     SimulationConfig,
+    _leg_success_prob,
     compare_fading,
     make_state,
     per_packet_error_probability,
@@ -93,6 +95,24 @@ class TestPerPacketErrorProbability:
         assert out[1] < out[0]
 
 
+class TestChannelGain:
+    @pytest.mark.parametrize(
+        "fading,params",
+        [
+            ("rayleigh", RayleighParams(sigma=0.8)),
+            ("rician", RicianParams(amplitude=1.5, sigma=0.6, phase=0.3)),
+        ],
+    )
+    def test_simulator_snr_uses_channel_gain(self, fading, params):
+        # the simulator's SNR for draws z is |channel_gain(z)|^2 / n0, term for term
+        cfg = make_config(fading=fading, fading_params=params, noise_n0=0.7, snr_threshold_db=1.0)
+        z = RngStream(SEED).child("snr").gen.standard_normal((2, 500))
+        h = channel_gain(params, z)
+        snr = (h.real**2 + h.imag**2) / 0.7
+        expect = 1.0 - per_packet_error_probability(snr, cfg.base_hop.packet_length, 1.0)
+        np.testing.assert_array_equal(_leg_success_prob(cfg, z), expect)
+
+
 class TestConfigValidation:
     def test_rejects_bad_fading_kind(self):
         with pytest.raises(InvalidConfigError):
@@ -157,12 +177,11 @@ class TestStabilityGate:
 
 class TestCentralServer:
     def test_fifo_wait_accounting(self):
-        srv = CentralServer(mu=1.0)
+        srv = CentralServer()
         assert srv.admit(arrival=0.0, service=2.0) == 0.0
         # second arrival at t=1 waits until t=2
         assert srv.admit(arrival=1.0, service=1.0) == pytest.approx(1.0)
-        # after reset the server is idle again
-        srv.reset()
+        # once the backlog clears, a later arrival is served at once
         assert srv.admit(arrival=5.0, service=1.0) == 0.0
 
 
