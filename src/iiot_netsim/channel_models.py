@@ -58,6 +58,8 @@ class RicianParams:
             raise InvalidParameterError(f"amplitude must be >= 0, got {self.amplitude}")
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise InvalidParameterError(f"sigma must be > 0, got {self.sigma}")
+        if not math.isfinite(self.phase):
+            raise InvalidParameterError(f"phase must be finite, got {self.phase}")
 
 
 def sample_awgn_batch(params: AwgnParams, n: int, rng: RngStream) -> np.ndarray:

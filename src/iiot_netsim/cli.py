@@ -15,12 +15,12 @@ the config file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,7 @@ from .reporting import (
 )
 from .rng import RngStream
 from .rtt_model import HopConfig, compute_rtt
-from .sim_engine import FadingSpec, SimulationConfig, compare_fading, run_simulation
+from .sim_engine import FADING_PARAMS, FadingSpec, SimulationConfig, compare_fading, run_simulation
 
 SEED_ENV_VAR = "IIOT_NETSIM_SEED"
 DEFAULT_SEED = 42
@@ -66,10 +66,20 @@ KS_SIGNIFICANCE = 0.01
 MOMENT_SE_LIMIT = 5.0
 PDF_BINS = 64
 
-HOPS_CSV_HEADER = (
-    "distance_m,propagation_speed_mps,packet_length_bits,link_rate_bps,hop_weight,"
-    "processing_delay_ms,arrival_rate_pps,service_rate_pps,loss_prob,retx_base_ms"
-)
+# hop key at the boundary -> (HopConfig field, factor to SI units)
+_HOP_FIELDS = {
+    "distance_m": ("distance", 1.0),
+    "propagation_speed_mps": ("propagation_speed", 1.0),
+    "packet_length_bits": ("packet_length", 1.0),
+    "link_rate_bps": ("link_rate", 1.0),
+    "hop_weight": ("hop_weight", 1.0),
+    "processing_delay_ms": ("processing_delay", 1e-3),
+    "arrival_rate_pps": ("arrival_rate", 1.0),
+    "service_rate_pps": ("service_rate", 1.0),
+    "loss_prob": ("loss_prob", 1.0),
+    "retx_base_ms": ("retx_base", 1e-3),
+}
+HOPS_CSV_HEADER = ",".join(_HOP_FIELDS)
 RTT_BREAKDOWN_HEADER = (
     "hop,propagation_ms,transmission_ms,processing_ms,queueing_ms,retransmission_ms,rtt_ms"
 )
@@ -77,40 +87,30 @@ QUEUE_HEADER = "lambda,mu,c,erlang_c,Wq"
 QOS_HEADER = "alpha,beta,gamma,delta,R_closed_form,R_monte_carlo,mc_standard_error,n_runs"
 CHANNEL_PDF_HEADER = "r,pdf_analytic,pdf_empirical"
 
-_HOP_KEYS = (
-    "distance_m",
-    "propagation_speed_mps",
-    "packet_length_bits",
-    "link_rate_bps",
-    "hop_weight",
-    "processing_delay_ms",
-    "arrival_rate_pps",
-    "service_rate_pps",
-    "loss_prob",
-    "retx_base_ms",
-)
-_TOP_KEYS_REQUIRED = frozenset({"node_count", "duration_s", "seed", "base_hop"})
-_TOP_KEYS_OPTIONAL = frozenset(
-    {
-        "tick_s",
-        "fading",
-        "fading_params",
-        "noise_n0",
-        "qos_level",
-        "packets_per_node_per_tick",
-        "snr_threshold_db",
-        "max_retries_per_leg",
-        "rate_jitter",
-        "rate_growth_per_tick",
-        "report_window_s",
-        "comparison",
-    }
-)
-_FADING_PARAM_KEYS = {
-    "awgn": (frozenset({"n0"}), frozenset()),
-    "rayleigh": (frozenset({"sigma"}), frozenset()),
-    "rician": (frozenset({"amplitude", "sigma"}), frozenset({"phase"})),
+# every top-level config key and the JSON value it holds; a (type, None)
+# pair also takes null.  The objects are read by parse_hop,
+# parse_fading_params and parse_comparison; ranges are checked by the
+# dataclasses they build.
+_CONFIG_KEYS = {
+    "node_count": int,
+    "duration_s": float,
+    "seed": int,
+    "base_hop": dict,
+    "tick_s": float,
+    "fading": str,
+    "fading_params": (dict, None),  # null for fading "none"
+    "noise_n0": float,
+    "qos_level": int,
+    "packets_per_node_per_tick": int,
+    "snr_threshold_db": (float, None),  # null: no channel loss
+    "max_retries_per_leg": int,
+    "rate_jitter": bool,
+    "rate_growth_per_tick": float,
+    "report_window_s": float,
+    "comparison": dict,
 }
+_REQUIRED_KEYS = frozenset({"node_count", "duration_s", "seed", "base_hop"})
+_JSON_NAMES = {bool: "a boolean", str: "a string", dict: "a JSON object"}
 
 
 def _fmt(x: float) -> str:
@@ -128,49 +128,54 @@ def _require_keys(obj: dict, required: frozenset, optional: frozenset, where: st
         raise InvalidConfigError(f"missing key {missing[0]!r} in {where}")
 
 
-def _number(obj: dict, key: str, where: str) -> float:
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise InvalidConfigError(f"{where}.{key} must be a number, got {v!r}")
-    return float(v)
+def _typed(value, kind, where: str):
+    """value checked to hold JSON type kind, where a (type, None) pair also
+    takes null; a number must be finite, and integral for int."""
+    if isinstance(kind, tuple):
+        if value is None:
+            return None
+        kind = kind[0]
+    if kind in _JSON_NAMES:
+        if not isinstance(value, kind):
+            raise InvalidConfigError(f"{where} must be {_JSON_NAMES[kind]}, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidConfigError(f"{where} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # inf, NaN, or an int no float can hold
+        raise InvalidConfigError(f"{where} must be a finite number, got {value!r}")
+    if kind is int and value != int(value):
+        raise InvalidConfigError(f"{where} must be an integer, got {value!r}")
+    return kind(value)
 
 
 def parse_hop(obj: dict) -> HopConfig:
     """Hop description with boundary units (meters, ms, pps) to HopConfig."""
-    _require_keys(obj, frozenset(_HOP_KEYS), frozenset(), "base_hop")
-    n = {k: _number(obj, k, "base_hop") for k in _HOP_KEYS}
+    _require_keys(obj, frozenset(_HOP_FIELDS), frozenset(), "base_hop")
     return HopConfig(
-        distance=n["distance_m"],
-        propagation_speed=n["propagation_speed_mps"],
-        packet_length=n["packet_length_bits"],
-        link_rate=n["link_rate_bps"],
-        hop_weight=n["hop_weight"],
-        processing_delay=n["processing_delay_ms"] * 1e-3,
-        arrival_rate=n["arrival_rate_pps"],
-        service_rate=n["service_rate_pps"],
-        loss_prob=n["loss_prob"],
-        retx_base=n["retx_base_ms"] * 1e-3,
+        **{
+            field: _typed(obj[key], float, f"base_hop.{key}") * to_si
+            for key, (field, to_si) in _HOP_FIELDS.items()
+        }
     )
 
 
 def parse_fading_params(kind: str, obj, where: str):
-    if kind == "none":
+    """fading_params of one kind to its parameter class (None for 'none');
+    the class's fields name the keys, those without a default required."""
+    if kind not in FADING_PARAMS:
+        raise InvalidConfigError(f"unknown fading kind {kind!r} in {where}")
+    cls = FADING_PARAMS[kind]
+    if cls is None:
         if obj is not None:
             raise InvalidConfigError(f"{where} must be null when fading is 'none'")
         return None
-    if kind not in _FADING_PARAM_KEYS:
-        raise InvalidConfigError(f"unknown fading kind {kind!r} in {where}")
-    required, optional = _FADING_PARAM_KEYS[kind]
-    _require_keys(obj, required, optional, where)
-    n = {k: _number(obj, k, where) for k in obj}
-    if kind == "awgn":
-        return AwgnParams(n0=n["n0"])
-    if kind == "rayleigh":
-        return RayleighParams(sigma=n["sigma"])
-    return RicianParams(amplitude=n["amplitude"], sigma=n["sigma"], phase=n.get("phase", 0.0))
+    fields = dataclasses.fields(cls)
+    required = frozenset(f.name for f in fields if f.default is dataclasses.MISSING)
+    _require_keys(obj, required, frozenset(f.name for f in fields), where)
+    return cls(**{k: _typed(v, float, f"{where}.{k}") for k, v in obj.items()})
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ComparePlan:
     kinds: list[FadingSpec]
     sample_times_s: list[float]
@@ -179,10 +184,9 @@ class ComparePlan:
 def parse_comparison(obj: dict) -> ComparePlan:
     _require_keys(obj, frozenset({"sample_times_s", "kinds"}), frozenset(), "comparison")
     times = obj["sample_times_s"]
-    if not isinstance(times, list) or not all(
-        isinstance(t, (int, float)) and not isinstance(t, bool) for t in times
-    ):
+    if not isinstance(times, list):
         raise InvalidConfigError("comparison.sample_times_s must be a list of numbers")
+    times = [_typed(t, float, f"comparison.sample_times_s[{i}]") for i, t in enumerate(times)]
     kinds_raw = obj["kinds"]
     if not isinstance(kinds_raw, list) or len(kinds_raw) < 2:
         raise InvalidConfigError("comparison requires at least 2 fading kinds")
@@ -192,13 +196,12 @@ def parse_comparison(obj: dict) -> ComparePlan:
         _require_keys(
             item, frozenset({"label", "fading"}), frozenset({"params", "noise_n0"}), where
         )
-        label, fading = item["label"], item["fading"]
-        if not isinstance(label, str) or not isinstance(fading, str):
-            raise InvalidConfigError(f"{where} label and fading must be strings")
+        label = _typed(item["label"], str, f"{where}.label")
+        fading = _typed(item["fading"], str, f"{where}.fading")
         params = parse_fading_params(fading, item.get("params"), f"{where}.params")
-        noise = _number(item, "noise_n0", where) if "noise_n0" in item else None
+        noise = _typed(item["noise_n0"], float, f"{where}.noise_n0") if "noise_n0" in item else None
         kinds.append(FadingSpec(label=label, fading=fading, fading_params=params, noise_n0=noise))
-    return ComparePlan(kinds=kinds, sample_times_s=[float(t) for t in times])
+    return ComparePlan(kinds=kinds, sample_times_s=times)
 
 
 def load_config_doc(path: str) -> dict:
@@ -223,54 +226,18 @@ def build_config(doc: dict, seed_override: int | None = None) -> tuple[
     The snapshot is the input document with the effective seed substituted,
     so writing it back to disk reproduces this exact run.
     """
-    _require_keys(doc, _TOP_KEYS_REQUIRED, _TOP_KEYS_OPTIONAL, "config")
+    _require_keys(doc, _REQUIRED_KEYS, frozenset(_CONFIG_KEYS), "config")
     snapshot = dict(doc)
     if seed_override is not None:
         snapshot["seed"] = seed_override
 
-    kind = snapshot.get("fading", "none")
-    if not isinstance(kind, str):
-        raise InvalidConfigError(f"config.fading must be a string, got {kind!r}")
-    kwargs = {
-        "node_count": snapshot["node_count"],
-        "duration_s": _number(snapshot, "duration_s", "config"),
-        "base_hop": parse_hop(snapshot["base_hop"]),
-        "seed": snapshot["seed"],
-        "fading": kind,
-        "fading_params": parse_fading_params(kind, snapshot.get("fading_params"), "config.fading_params"),
-    }
-    if not isinstance(kwargs["node_count"], int) or isinstance(kwargs["node_count"], bool):
-        raise InvalidConfigError(f"config.node_count must be an integer")
-    if not isinstance(kwargs["seed"], int) or isinstance(kwargs["seed"], bool):
-        raise InvalidConfigError(f"config.seed must be an integer")
-    for key, cast in (
-        ("tick_s", float),
-        ("noise_n0", float),
-        ("qos_level", int),
-        ("packets_per_node_per_tick", int),
-        ("max_retries_per_leg", int),
-        ("rate_growth_per_tick", float),
-        ("report_window_s", float),
-    ):
-        if key in snapshot:
-            v = snapshot[key]
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise InvalidConfigError(f"config.{key} must be a number, got {v!r}")
-            if cast is int and v != int(v):
-                raise InvalidConfigError(f"config.{key} must be an integer, got {v!r}")
-            kwargs[key] = cast(v)
-    if "snr_threshold_db" in snapshot:
-        v = snapshot["snr_threshold_db"]
-        if v is not None:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise InvalidConfigError(f"config.snr_threshold_db must be a number or null")
-            kwargs["snr_threshold_db"] = float(v)
-    if "rate_jitter" in snapshot:
-        if not isinstance(snapshot["rate_jitter"], bool):
-            raise InvalidConfigError("config.rate_jitter must be a boolean")
-        kwargs["rate_jitter"] = snapshot["rate_jitter"]
-
-    plan = parse_comparison(snapshot["comparison"]) if "comparison" in snapshot else None
+    kwargs = {k: _typed(v, _CONFIG_KEYS[k], f"config.{k}") for k, v in snapshot.items()}
+    comparison = kwargs.pop("comparison", None)
+    kwargs["base_hop"] = parse_hop(kwargs["base_hop"])
+    kwargs["fading_params"] = parse_fading_params(
+        kwargs.get("fading", "none"), kwargs.get("fading_params"), "config.fading_params"
+    )
+    plan = parse_comparison(comparison) if comparison is not None else None
     return SimulationConfig(**kwargs), plan, snapshot
 
 
@@ -321,9 +288,7 @@ def cmd_simulate(args) -> int:
     doc = load_config_doc(args.config)
     cfg, _plan, snapshot = build_config(doc, seed_override=resolve_seed(args.seed))
     if args.window is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, report_window_s=args.window)
+        cfg = dataclasses.replace(cfg, report_window_s=args.window)
         snapshot["report_window_s"] = args.window
     out = _out_dir(args)
     result = run_simulation(cfg)
@@ -331,7 +296,8 @@ def cmd_simulate(args) -> int:
         result.records, cfg.report_window_s, cfg.base_hop.packet_length, span_s=cfg.duration_s
     )
     _write_atomic(out / "intervals.csv", intervals_to_csv(intervals))
-    _write_atomic(out / "rtt_summary.csv", rtt_summary_to_csv(summarize_rtt(result.records)))
+    summary = summarize_rtt(result.records)
+    _write_atomic(out / "rtt_summary.csv", rtt_summary_to_csv(summary))
     write_manifest(
         out,
         "simulate",
@@ -340,9 +306,9 @@ def cmd_simulate(args) -> int:
         ["intervals.csv", "rtt_summary.csv"],
         time.perf_counter() - t0,
     )
-    s = result.summary
-    avg = "" if s.avg_latency_s is None else _fmt(s.avg_latency_s * 1e3)
-    print(f"sent={s.sent} delivered={s.delivered} lost={s.lost} avg_latency_ms={avg}")
+    sent, delivered = len(result.records), summary.count
+    avg = "" if summary.avg_ms is None else _fmt(summary.avg_ms)
+    print(f"sent={sent} delivered={delivered} lost={sent - delivered} avg_latency_ms={avg}")
     return 0
 
 
@@ -498,13 +464,13 @@ def _parse_hops_csv(path: str) -> list[HopConfig]:
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != len(_HOP_KEYS):
-            raise InvalidConfigError(f"hops file line {i}: expected {len(_HOP_KEYS)} fields")
+        if len(parts) != len(_HOP_FIELDS):
+            raise InvalidConfigError(f"hops file line {i}: expected {len(_HOP_FIELDS)} fields")
         try:
             values = [float(p) for p in parts]
         except ValueError:
             raise InvalidConfigError(f"hops file line {i}: non-numeric field") from None
-        hops.append(parse_hop(dict(zip(_HOP_KEYS, values))))
+        hops.append(parse_hop(dict(zip(_HOP_FIELDS, values))))
     return hops
 
 

@@ -50,12 +50,21 @@ class QoSChainParams:
         return cls(p, p, p, p)
 
 
+# legs of one complete handshake at each QoS level: the fewest a delivery takes
+MIN_LEGS = {0: 1, 1: 2, 2: N_LEGS}
+
+
+def max_total_legs(level: int, max_retries: int) -> int:
+    """Most legs one packet can consume; QoS 0 sends once and never retries."""
+    return 1 if level == 0 else MIN_LEGS[level] * (max_retries + 1)
+
+
 def handshake_rows(level: int, max_retries: int) -> int:
     """Uniforms handshake_legs consumes per packet at this QoS level."""
-    if level not in (0, 1, 2):
+    if level not in MIN_LEGS:
         raise InvalidParameterError(f"QoS level must be 0, 1 or 2, got {level}")
-    budget = max_retries + 1
-    return {0: 1, 1: 2 * budget, 2: 4}[level]
+    # QoS 1 draws every leg of every attempt; QoS 2 inverts one geometric per leg
+    return MIN_LEGS[level] * (max_retries + 1) if level == 1 else MIN_LEGS[level]
 
 
 def handshake_legs(

@@ -3,7 +3,8 @@
 Consumes packet records duck-typed on the attributes
 (tick_start_s, delivered, latency_s); produces the round-trip summary,
 fixed-window interval series, and the fading-comparison latency table,
-each with a CSV mirror.  Latencies are reported in milliseconds.
+each with a CSV mirror.  Latencies are reported in milliseconds.  This
+is the only module that summarizes records; the simulator returns them.
 """
 from __future__ import annotations
 

@@ -16,6 +16,9 @@ where one_way is the deterministic per-leg delay implied by the base hop
 (propagation + transmission + processing + static queueing) and the
 server wait is the dynamic, transient part that builds up under load.
 
+A run returns its per-packet records and nothing else; reporting owns
+every summary of them (summarize_rtt, windowed_series).
+
 Determinism: every random quantity comes from a substream keyed by
 (domain, node, tick), so runs are bit-reproducible and adding a node
 never perturbs existing nodes' draws.  Leg outcomes use inverse-CDF
@@ -26,26 +29,30 @@ uniforms, coupling the runs for low-variance ordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
 
 from .channel_models import AwgnParams, RayleighParams, RicianParams, channel_gain
 from .errors import InvalidConfigError, InvalidParameterError
-from .qos_state_machine import handshake_legs, handshake_rows
+from .qos_state_machine import MIN_LEGS, handshake_legs, handshake_rows, max_total_legs
 from .queueing_model import QueueParams
-from .reporting import IntervalReport, latency_stats, windowed_series
+from .reporting import IntervalReport, windowed_series
 from .rng import DOMAIN_PACKET, DOMAIN_RATE_JITTER, DOMAIN_SERVER, RngStream
 from .rtt_model import HopConfig, compute_rtt
 
-FADING_KINDS = ("none", "awgn", "rayleigh", "rician")
 PER_SLOPE_PER_DB = 1.0
 RATE_JITTER_SPAN = (0.8, 1.2)
 
 FadingParams = AwgnParams | RayleighParams | RicianParams | None
-
-_MIN_LEGS = {0: 1, 1: 2, 2: 4}
+# each fading kind and the class of its fading_params ("none" takes None)
+FADING_PARAMS = {
+    "none": None,
+    "awgn": AwgnParams,
+    "rayleigh": RayleighParams,
+    "rician": RicianParams,
+}
 
 
 def per_packet_error_probability(snr_linear, packet_length: float, threshold_db: float):
@@ -88,8 +95,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.node_count < 1:
             raise InvalidConfigError(f"node_count must be >= 1, got {self.node_count}")
-        if not self.duration_s > 0:
-            raise InvalidConfigError(f"duration_s must be > 0, got {self.duration_s}")
+        if not 0 < self.duration_s < math.inf:
+            raise InvalidConfigError(f"duration_s must be finite and > 0, got {self.duration_s}")
         if not self.tick_s > 0:
             raise InvalidConfigError(f"tick_s must be > 0, got {self.tick_s}")
         n = self.duration_s / self.tick_s
@@ -97,35 +104,36 @@ class SimulationConfig:
             raise InvalidConfigError(
                 f"duration_s must be a whole positive number of ticks, got {n:.6g}"
             )
-        if self.qos_level not in (0, 1, 2):
+        if self.qos_level not in MIN_LEGS:
             raise InvalidConfigError(f"qos_level must be 0, 1 or 2, got {self.qos_level}")
         if self.packets_per_node_per_tick < 0:
             raise InvalidConfigError("packets_per_node_per_tick must be >= 0")
         if self.max_retries_per_leg < 0:
             raise InvalidConfigError("max_retries_per_leg must be >= 0")
-        if not (math.isfinite(self.rate_growth_per_tick) and self.rate_growth_per_tick >= 0):
+        if not 0 <= self.rate_growth_per_tick < math.inf:
             raise InvalidConfigError("rate_growth_per_tick must be finite and >= 0")
-        if not self.report_window_s > 0:
-            raise InvalidConfigError("report_window_s must be > 0")
+        try:
+            self.rate_at_tick(self.n_ticks())
+        except (OverflowError, ValueError):  # int(round()) of an inf or NaN rate
+            raise InvalidConfigError("rate_growth_per_tick overflows the final rate") from None
+        if not 0 < self.report_window_s < math.inf:
+            raise InvalidConfigError("report_window_s must be finite and > 0")
+        if self.snr_threshold_db is not None and not math.isfinite(self.snr_threshold_db):
+            raise InvalidConfigError("snr_threshold_db must be finite or None")
         if not 0 <= self.seed < 2**64:
             raise InvalidConfigError("seed must fit in 64 bits")
-        if self.fading not in FADING_KINDS:
+        if self.fading not in FADING_PARAMS:
             raise InvalidConfigError(
-                f"fading must be one of {FADING_KINDS}, got {self.fading!r}"
+                f"fading must be one of {tuple(FADING_PARAMS)}, got {self.fading!r}"
             )
-        wanted = {
-            "none": type(None),
-            "awgn": AwgnParams,
-            "rayleigh": RayleighParams,
-            "rician": RicianParams,
-        }[self.fading]
+        wanted = FADING_PARAMS[self.fading] or type(None)
         if not isinstance(self.fading_params, wanted):
             raise InvalidConfigError(
                 f"fading_params for kind {self.fading!r} must be {wanted.__name__}, "
                 f"got {type(self.fading_params).__name__}"
             )
-        if self.fading in ("rayleigh", "rician") and not self.noise_n0 > 0:
-            raise InvalidConfigError(f"noise_n0 must be > 0, got {self.noise_n0}")
+        if self.fading in ("rayleigh", "rician") and not 0 < self.noise_n0 < math.inf:
+            raise InvalidConfigError(f"noise_n0 must be finite and > 0, got {self.noise_n0}")
         if self.handshake_guard_s() >= self.tick_s:
             raise InvalidConfigError(
                 f"tick_s {self.tick_s} too short: worst-case handshake takes "
@@ -145,11 +153,10 @@ class SimulationConfig:
         return self.base_hop.service_rate
 
     def min_legs(self) -> int:
-        return _MIN_LEGS[self.qos_level]
+        return MIN_LEGS[self.qos_level]
 
     def max_total_legs(self) -> int:
-        budget = self.max_retries_per_leg + 1
-        return {0: 1, 1: 2 * budget, 2: 4 * budget}[self.qos_level]
+        return max_total_legs(self.qos_level, self.max_retries_per_leg)
 
     def handshake_guard_s(self) -> float:
         """Worst-case handshake duration; sends are confined to
@@ -160,9 +167,6 @@ class SimulationConfig:
         """Nominal per-node packet count for 1-based tick t (before jitter)."""
         grown = self.packets_per_node_per_tick * (1.0 + self.rate_growth_per_tick * (t - 1))
         return int(round(grown))
-
-    def offered_rate(self) -> float:
-        return self.node_count * self.packets_per_node_per_tick / self.tick_s
 
     def offered_rate_max(self) -> float:
         """Peak nominal offered rate over the run (last tick under growth)."""
@@ -181,19 +185,14 @@ class PacketRecord:
     latency_s: float  # nan while undelivered
 
 
-@dataclass
-class SensorNode:
-    """One traffic source."""
-
-    id: int
-
-    def packets_for_tick(self, config: SimulationConfig, root: RngStream, tick: int) -> int:
-        base = config.rate_at_tick(tick)
-        if not config.rate_jitter or base == 0:
-            return base
-        u = root.child(DOMAIN_RATE_JITTER, self.id, tick).gen.random()
-        lo, hi = RATE_JITTER_SPAN
-        return int(round(base * (lo + (hi - lo) * u)))
+def _packets_for_tick(config: SimulationConfig, root: RngStream, node: int, tick: int) -> int:
+    """Packets node offers at tick: the nominal rate, jittered when enabled."""
+    base = config.rate_at_tick(tick)
+    if not config.rate_jitter or base == 0:
+        return base
+    u = root.child(DOMAIN_RATE_JITTER, node, tick).gen.random()
+    lo, hi = RATE_JITTER_SPAN
+    return int(round(base * (lo + (hi - lo) * u)))
 
 
 @dataclass
@@ -213,25 +212,14 @@ class CentralServer:
 class SimulationState:
     config: SimulationConfig
     root: RngStream
-    nodes: list[SensorNode]
     server: CentralServer
-    records: list[PacketRecord] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class SimulationSummary:
-    sent: int
-    delivered: int
-    lost: int
-    min_latency_s: float | None
-    avg_latency_s: float | None
-    max_latency_s: float | None
 
 
 @dataclass(frozen=True)
 class SimulationResult:
-    tick_reports: list[IntervalReport]
-    summary: SimulationSummary
+    """Every packet record of a run, tick by tick; reporting.summarize_rtt
+    and reporting.windowed_series summarize them."""
+
     records: list[PacketRecord]
 
 
@@ -239,12 +227,7 @@ def make_state(config: SimulationConfig) -> SimulationState:
     """Validate peak load against server capacity and set up run state."""
     if config.offered_rate_max() > 0:
         QueueParams(lam=config.offered_rate_max(), mu=config.server_mu()).require_stable()
-    return SimulationState(
-        config=config,
-        root=RngStream(config.seed),
-        nodes=[SensorNode(id=i) for i in range(1, config.node_count + 1)],
-        server=CentralServer(),
-    )
+    return SimulationState(config=config, root=RngStream(config.seed), server=CentralServer())
 
 
 def _leg_success_prob(config: SimulationConfig, z: np.ndarray) -> np.ndarray:
@@ -269,8 +252,8 @@ def _leg_success_prob(config: SimulationConfig, z: np.ndarray) -> np.ndarray:
     return 1.0 - per
 
 
-def run_tick(state: SimulationState, t: int) -> IntervalReport:
-    """Advance one tick; returns the tick's aggregate fragment.
+def run_tick(state: SimulationState, t: int) -> list[PacketRecord]:
+    """Advance one tick; returns the records of the packets sent in it.
 
     Sends are jittered inside [tick_start, tick_end - guard], so every
     handshake finishes before the tick ends and server FIFO order across
@@ -286,15 +269,15 @@ def run_tick(state: SimulationState, t: int) -> IntervalReport:
 
     tick_records: list[PacketRecord] = []
     queued = []  # (arrival, node_id, pkt, record) for delivered packets
-    for node in state.nodes:
-        n_pkts = node.packets_for_tick(cfg, state.root, t)
+    for node in range(1, cfg.node_count + 1):
+        n_pkts = _packets_for_tick(cfg, state.root, node, t)
         if n_pkts == 0:
             continue
-        gen = state.root.child(DOMAIN_PACKET, node.id, t).gen
+        gen = state.root.child(DOMAIN_PACKET, node, t).gen
         u_send = gen.random(n_pkts)
         z = gen.standard_normal((2, n_pkts))
         leg_u = gen.random((leg_rows, n_pkts))
-        service = state.root.child(DOMAIN_SERVER, node.id, t).gen.exponential(
+        service = state.root.child(DOMAIN_SERVER, node, t).gen.exponential(
             1.0 / cfg.server_mu(), n_pkts
         )
 
@@ -305,7 +288,7 @@ def run_tick(state: SimulationState, t: int) -> IntervalReport:
 
         for k in range(n_pkts):
             rec = PacketRecord(
-                node=node.id,
+                node=node,
                 tick=t,
                 pkt=k,
                 tick_start_s=tick_start,
@@ -316,7 +299,7 @@ def run_tick(state: SimulationState, t: int) -> IntervalReport:
             )
             tick_records.append(rec)
             if rec.delivered:
-                queued.append((float(send[k] + travel[k]), node.id, k, float(service[k]), rec))
+                queued.append((float(send[k] + travel[k]), node, k, float(service[k]), rec))
 
     # exact FIFO at the server: admit in global arrival order
     queued.sort(key=lambda item: (item[0], item[1], item[2]))
@@ -324,40 +307,15 @@ def run_tick(state: SimulationState, t: int) -> IntervalReport:
         wait = state.server.admit(arrival, svc)
         rec.latency_s = (arrival - rec.send_time_s) + wait
 
-    state.records.extend(tick_records)
-    lat_ms = [r.latency_s * 1e3 for r in tick_records if r.delivered]
-    n_sent = len(tick_records)
-    n_del = len(lat_ms)
-    lo, avg, hi = latency_stats(lat_ms)
-    return IntervalReport(
-        window_start_s=tick_start,
-        window_len_s=cfg.tick_s,
-        sent=n_sent,
-        delivered=n_del,
-        lost=n_sent - n_del,
-        throughput_bps=n_del * cfg.base_hop.packet_length / cfg.tick_s,
-        avg_latency_ms=avg,
-        min_latency_ms=lo,
-        max_latency_ms=hi,
-    )
+    return tick_records
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:
-    """Run every tick, then summarize."""
+    """Run every tick."""
     state = make_state(config)
-    tick_reports = [run_tick(state, t) for t in range(1, config.n_ticks() + 1)]
-    lat = [r.latency_s for r in state.records if r.delivered]
-    sent = len(state.records)
-    lo, avg, hi = latency_stats(lat)
-    summary = SimulationSummary(
-        sent=sent,
-        delivered=len(lat),
-        lost=sent - len(lat),
-        min_latency_s=lo,
-        avg_latency_s=avg,
-        max_latency_s=hi,
+    return SimulationResult(
+        records=[r for t in range(1, config.n_ticks() + 1) for r in run_tick(state, t)]
     )
-    return SimulationResult(tick_reports=tick_reports, summary=summary, records=state.records)
 
 
 def traffic_loopback(

@@ -38,6 +38,7 @@ from iiot_netsim.queueing_model import (
     mean_wait_in_queue,
     simulate_mmc,
 )
+from iiot_netsim.reporting import summarize_rtt, windowed_series
 from iiot_netsim.rng import RngStream
 from iiot_netsim.rtt_model import HopConfig, compute_rtt
 from iiot_netsim.sim_engine import compare_fading, run_simulation, traffic_loopback
@@ -211,10 +212,10 @@ def test_criterion_6_latency_envelope(capsys):
     avgs, mins, maxs = [], [], []
     for seed in range(1, 31):
         cfg, _ = shipped_config("default_simulate.json", seed=seed)
-        s = run_simulation(cfg).summary
-        avgs.append(s.avg_latency_s * 1e3)
-        mins.append(s.min_latency_s * 1e3)
-        maxs.append(s.max_latency_s * 1e3)
+        s = summarize_rtt(run_simulation(cfg).records)
+        avgs.append(s.avg_ms)
+        mins.append(s.min_ms)
+        maxs.append(s.max_ms)
     ok = (
         all(10.0 <= a <= 14.0 for a in avgs)
         and min(mins) >= 3.0
@@ -247,7 +248,12 @@ def test_criterion_8_rising_latency_trend(capsys):
     rising = 0
     for seed in range(1, 31):
         cfg, _ = shipped_config("high_load_trend.json", seed=seed)
-        reports = run_simulation(cfg).tick_reports
+        reports = windowed_series(
+            run_simulation(cfg).records,
+            cfg.tick_s,
+            cfg.base_hop.packet_length,
+            span_s=cfg.duration_s,
+        )
         ys = [r.avg_latency_ms for r in reports]
         slope = float(np.polyfit(np.arange(len(ys)), ys, 1)[0])
         rising += slope >= 0.0

@@ -44,6 +44,9 @@ def test_param_validation():
         RicianParams(amplitude=-0.1, sigma=1.0)
     with pytest.raises(InvalidParameterError):
         RicianParams(amplitude=1.0, sigma=0.0)
+    for phase in (math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match="phase"):
+            RicianParams(amplitude=1.0, sigma=1.0, phase=phase)
 
 
 # ---- sampler moments -----------------------------------------------------

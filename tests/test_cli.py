@@ -128,6 +128,82 @@ class TestSimulate:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key,value,fading",
+        [
+            ("duration_s", math.inf, None),
+            ("rate_growth_per_tick", 1e308, None),
+            ("snr_threshold_db", math.nan, None),
+            ("report_window_s", math.inf, None),
+            ("phase", math.inf, "rician"),
+            ("phase", math.nan, "rician"),
+        ],
+    )
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, key, value, fading):
+        # json writes these as the non-standard literals Infinity and NaN
+        doc = load_doc("default_simulate.json")
+        if fading:
+            doc["fading"] = fading
+            doc["fading_params"] = {"amplitude": 1.0, "sigma": 1.0, key: value}
+        else:
+            doc[key] = value
+        out = tmp_path / "o"
+        rc = cli.main(["simulate", "--config", write_doc(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [(k, "5") if t is not str else (k, 5) for k, t in cli._CONFIG_KEYS.items()]
+        + [
+            (k, v)
+            for k, t in cli._CONFIG_KEYS.items()
+            if t in (int, float) or t == (float, None)
+            for v in (True, math.nan, math.inf)
+        ],
+    )
+    def test_config_key_wrong_type_exits_2(self, tmp_path, capsys, key, value):
+        doc = load_doc("default_compare.json")  # holds every config key
+        assert set(doc) == set(cli._CONFIG_KEYS)
+        doc[key] = value
+        out = tmp_path / "o"
+        rc = cli.main(["simulate", "--config", write_doc(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config.{key} must be")
+        assert not out.exists()
+
+    def test_integral_numbers_accepted_for_integer_keys(self):
+        doc = load_doc("default_simulate.json")
+        doc.update(node_count=5.0, seed=42.0, qos_level=2.0, max_retries_per_leg=8.0)
+        cfg, _plan, _snapshot = cli.build_config(doc)
+        ref, _plan, _snapshot = cli.build_config(load_doc("default_simulate.json"))
+        assert cfg == ref
+        assert isinstance(cfg.node_count, int) and isinstance(cfg.seed, int)
+        doc["packets_per_node_per_tick"] = 60.5
+        with pytest.raises(cli.InvalidConfigError, match="must be an integer"):
+            cli.build_config(doc)
+
+    def test_stdout_matches_summary_and_windows(self, tmp_path, capsys):
+        doc = load_doc("default_compare.json")
+        doc.update(fading="rayleigh", fading_params={"sigma": 1.0}, noise_n0=2.540456)
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 0
+        printed = dict(f.split("=") for f in capsys.readouterr().out.split())
+        rows = parse_intervals_csv((out / "intervals.csv").read_text())
+        header, values = (out / "rtt_summary.csv").read_text().splitlines()
+        summary = dict(zip(header.split(","), values.split(",")))
+        assert int(printed["sent"]) == sum(r.sent for r in rows)
+        assert int(printed["delivered"]) == sum(r.delivered for r in rows)
+        assert int(printed["delivered"]) == int(summary["count"])
+        assert int(printed["lost"]) == sum(r.lost for r in rows) > 0
+        assert float(printed["avg_latency_ms"]) == pytest.approx(
+            float(summary["avg_ms"]), rel=1e-11
+        )
+
     def test_overload_exits_3(self, tmp_path, capsys):
         doc = load_doc("default_simulate.json")
         doc["base_hop"]["service_rate_pps"] = 250.0  # offered 5*60=300 exceeds capacity

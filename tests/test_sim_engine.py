@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from iiot_netsim.channel_models import AwgnParams, RayleighParams, RicianParams, channel_gain
 from iiot_netsim.errors import InstabilityError, InvalidConfigError, InvalidParameterError
+from iiot_netsim.reporting import summarize_rtt, windowed_series
 from iiot_netsim.rng import RngStream
 from iiot_netsim.rtt_model import HopConfig
 from iiot_netsim.sim_engine import (
@@ -141,6 +142,23 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError):
             make_config(rate_growth_per_tick=-0.01)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"duration_s": math.inf},
+            {"report_window_s": math.inf},
+            {"snr_threshold_db": math.nan},
+            {"snr_threshold_db": -math.inf},
+            {"rate_growth_per_tick": 1e308},
+            {"packets_per_node_per_tick": 0, "rate_growth_per_tick": 1e308},
+            {"fading": "rayleigh", "fading_params": RayleighParams(1.0), "noise_n0": math.inf},
+        ],
+    )
+    def test_rejects_non_finite(self, overrides):
+        # non-finite values overflow the tick arithmetic or make every summary meaningless
+        with pytest.raises(InvalidConfigError):
+            make_config(**overrides)
+
     def test_server_rate_comes_from_base_hop(self):
         cfg = make_config()
         assert cfg.server_mu() == cfg.base_hop.service_rate
@@ -196,21 +214,19 @@ class TestRunTick:
     def test_offered_count_exact(self):
         cfg = make_config(node_count=5, packets_per_node_per_tick=17)
         state = make_state(cfg)
-        rep = run_tick(state, 1)
-        assert rep.sent == 85
+        assert len(run_tick(state, 1)) == 85
 
     def test_perfect_channel_qos0_single_leg(self):
         cfg = make_config(qos_level=0)
         res = run_simulation(cfg)
-        assert res.summary.lost == 0
+        assert summarize_rtt(res.records).count == len(res.records)
         assert all(r.attempts == 1 for r in res.records)
 
     def test_rate_jitter_bounds(self):
         cfg = make_config(packets_per_node_per_tick=100, rate_jitter=True)
         state = make_state(cfg)
         for t in range(1, 6):
-            rep = run_tick(state, t)
-            assert 3 * 80 <= rep.sent <= 3 * 120
+            assert 3 * 80 <= len(run_tick(state, t)) <= 3 * 120
 
     def test_rate_growth_schedule(self):
         cfg = make_config(
@@ -221,7 +237,7 @@ class TestRunTick:
         )
         assert [cfg.rate_at_tick(t) for t in (1, 2, 5)] == [100, 110, 140]
         state = make_state(cfg)
-        assert run_tick(state, 2).sent == 110
+        assert len(run_tick(state, 2)) == 110
 
 
 class TestConservationAndInvariants:
@@ -234,12 +250,16 @@ class TestConservationAndInvariants:
             max_retries_per_leg=2,
         )
         res = run_simulation(cfg)
-        per_tick_sum = sum(r.sent for r in res.tick_reports)
-        assert per_tick_sum == res.summary.sent
-        for rep in res.tick_reports:
+        reports = windowed_series(
+            res.records, cfg.tick_s, cfg.base_hop.packet_length, span_s=cfg.duration_s
+        )
+        assert len(reports) == cfg.n_ticks()
+        assert sum(r.sent for r in reports) == len(res.records)
+        for rep in reports:
             assert rep.lost == rep.sent - rep.delivered
-        assert res.summary.delivered + res.summary.lost == res.summary.sent
-        assert res.summary.lost > 0  # this config does lose packets
+        delivered = summarize_rtt(res.records).count
+        assert sum(r.delivered for r in reports) == delivered
+        assert len(res.records) - delivered > 0  # this config does lose packets
 
     def test_delivered_implies_positive_latency_and_attempts(self):
         cfg = make_config(
@@ -266,15 +286,19 @@ class TestConservationAndInvariants:
         assert min(lat) >= floor - 1e-15
 
     def test_summary_order(self):
-        res = run_simulation(make_config())
-        s = res.summary
-        assert s.min_latency_s <= s.avg_latency_s <= s.max_latency_s
+        s = summarize_rtt(run_simulation(make_config()).records)
+        assert s.min_ms <= s.avg_ms <= s.max_ms
 
     def test_zero_rate_run_is_empty(self):
-        res = run_simulation(make_config(packets_per_node_per_tick=0))
-        assert res.summary.sent == 0
-        assert res.summary.avg_latency_s is None
-        assert all(r.avg_latency_ms is None for r in res.tick_reports)
+        cfg = make_config(packets_per_node_per_tick=0)
+        res = run_simulation(cfg)
+        assert res.records == []
+        assert summarize_rtt(res.records).avg_ms is None
+        reports = windowed_series(
+            res.records, cfg.tick_s, cfg.base_hop.packet_length, span_s=cfg.duration_s
+        )
+        assert len(reports) == cfg.n_ticks()
+        assert all(r.avg_latency_ms is None for r in reports)
 
 
 class TestDeterminismAndIsolation:
@@ -511,7 +535,8 @@ class TestSpecifiedTrends:
                 max_retries_per_leg=0,
             )
             res = run_simulation(cfg)
-            curves.append([r.avg_latency_ms for r in res.tick_reports])
+            reports = windowed_series(res.records, cfg.tick_s, hop.packet_length, span_s=10.0)
+            curves.append([r.avg_latency_ms for r in reports])
         mean_curve = np.mean(np.array(curves, dtype=float), axis=0)
         slope = np.polyfit(np.arange(len(mean_curve)), mean_curve, 1)[0]
         assert slope >= 0
