@@ -48,6 +48,7 @@ from .reporting import (
     RttSummary,
     fading_comparison_table,
     intervals_to_csv,
+    mean_latency_so_far,
     parse_intervals_csv,
     rtt_summary_to_csv,
     summarize_rtt,
@@ -62,7 +63,6 @@ from .sim_engine import (
     compare_fading,
     per_packet_error_probability,
     run_simulation,
-    traffic_loopback,
 )
 
 __all__ = [
@@ -96,6 +96,7 @@ __all__ = [
     "RttSummary",
     "fading_comparison_table",
     "intervals_to_csv",
+    "mean_latency_so_far",
     "parse_intervals_csv",
     "rtt_summary_to_csv",
     "summarize_rtt",
@@ -111,5 +112,4 @@ __all__ = [
     "compare_fading",
     "per_packet_error_probability",
     "run_simulation",
-    "traffic_loopback",
 ]

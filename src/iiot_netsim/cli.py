@@ -290,8 +290,8 @@ def cmd_simulate(args) -> int:
     if args.window is not None:
         cfg = dataclasses.replace(cfg, report_window_s=args.window)
         snapshot["report_window_s"] = args.window
-    out = _out_dir(args)
     result = run_simulation(cfg)
+    out = _out_dir(args)
     intervals = windowed_series(
         result.records, cfg.report_window_s, cfg.base_hop.packet_length, span_s=cfg.duration_s
     )
@@ -318,10 +318,10 @@ def cmd_compare_fading(args) -> int:
     cfg, plan, snapshot = build_config(doc, seed_override=resolve_seed(args.seed))
     if plan is None:
         raise InvalidConfigError("compare-fading requires a 'comparison' section (>= 2 kinds)")
+    matrix_ms = compare_fading(cfg, plan.kinds, plan.sample_times_s).tolist()
     out = _out_dir(args)
-    comp = compare_fading(cfg, plan.kinds, plan.sample_times_s)
-    matrix_ms = (comp.latency_s * 1e3).tolist()
-    text, csv = fading_comparison_table(list(comp.sample_times_s), list(comp.kinds), matrix_ms)
+    labels = [k.label for k in plan.kinds]
+    text, csv = fading_comparison_table(plan.sample_times_s, labels, matrix_ms)
     _write_atomic(out / "fading_table.csv", csv)
     write_manifest(
         out, "compare-fading", cfg.seed, snapshot, ["fading_table.csv"], time.perf_counter() - t0

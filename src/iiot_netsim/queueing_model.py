@@ -1,10 +1,7 @@
 """M/M/c broker-queue analytics plus a discrete-event simulation oracle.
 
-The model pair actually used downstream is the standard Erlang-C waiting
-probability C(c, rho) and W_q = C/(c*mu - lambda).  An unsimplified
-variant of the waiting expression (which carries an extra factor of c in
-its numerator) is kept alongside for cross-checking; the two disagree by
-exactly that factor, so both are exposed rather than silently reconciled.
+The analytic pair is the standard Erlang-C waiting probability C(c, rho)
+and W_q = C/(c*mu - lambda); simulate_mmc checks both by simulation.
 """
 from __future__ import annotations
 
@@ -69,21 +66,6 @@ def mean_wait_in_queue(params: QueueParams) -> float:
     """Mean queueing delay W_q = C(c, rho) / (c*mu - lambda), seconds."""
     params.require_stable()
     return erlang_c_probability(params) / (params.servers * params.mu - params.lam)
-
-
-def erlang_c_unsimplified(params: QueueParams) -> float:
-    """Unsimplified form of the waiting expression, kept for cross-checking.
-
-    numerator   rho^c * (c/c!) / (1 - lambda/(c*mu))
-    denominator sum_{k<c} rho^k/k!  +  (rho^c/c!) * c*mu/(c*mu - lambda)
-    Equals c * erlang_c_probability exactly.
-    """
-    params.require_stable()
-    c, rho, lam, mu = params.servers, params.rho, params.lam, params.mu
-    partial, top = _poisson_terms(rho, c)
-    numerator = top * c / (1.0 - lam / (c * mu))
-    denominator = partial + top * (c * mu) / (c * mu - lam)
-    return numerator / denominator
 
 
 def simulate_mmc(

@@ -1,13 +1,16 @@
 """Aggregation of per-packet records into summary artifacts.
 
 Consumes packet records duck-typed on the attributes
-(tick_start_s, delivered, latency_s); produces the round-trip summary,
-fixed-window interval series, and the fading-comparison latency table,
-each with a CSV mirror.  Latencies are reported in milliseconds.  This
-is the only module that summarizes records; the simulator returns them.
+(tick_start_s, send_time_s, delivered, latency_s); produces the
+round-trip summary, fixed-window interval series, and the running mean
+latency behind the fading-comparison table, each summary with a CSV
+mirror.  Latencies are reported in milliseconds, and every average goes
+through latency_stats.  This is the only module that summarizes records;
+the simulator returns them.
 """
 from __future__ import annotations
 
+import bisect
 import io
 import math
 from dataclasses import dataclass
@@ -65,15 +68,31 @@ def summarize_rtt(records) -> RttSummary:
     return RttSummary(min_ms=lo * 1e3, max_ms=hi * 1e3, avg_ms=avg * 1e3, count=len(lat))
 
 
+def mean_latency_so_far(records, times) -> list[float | None]:
+    """Average latency in ms of the delivered packets sent at or before each
+    time; None before the first delivery.
+
+    Deliveries are ordered by (send_time_s, latency_s), and each prefix's
+    mean comes from latency_stats, like summarize_rtt's.
+    """
+    rows = sorted((r.send_time_s, r.latency_s) for r in records if r.delivered)
+    sends = [s for s, _ in rows]
+    lats = [lat for _, lat in rows]
+    out = []
+    for t in times:
+        _lo, avg, _hi = latency_stats(lats[: bisect.bisect_right(sends, t)])
+        out.append(None if avg is None else avg * 1e3)
+    return out
+
+
 def windowed_series(
-    records, window: float, bits_per_packet: float, span_s: float | None = None
+    records, window: float, bits_per_packet: float, span_s: float
 ) -> list[IntervalReport]:
-    """Partition records by send tick into consecutive fixed windows.
+    """Partition records by send tick into the fixed windows covering
+    [0, span_s), including windows where no traffic was offered.
 
     A packet belongs to the window containing its tick start, so counts
-    telescope exactly.  span_s, when given, forces the series to cover
-    [0, span_s) even where no traffic was offered; otherwise the series
-    ends at the last nonempty window (empty input gives an empty list).
+    telescope exactly.
     """
     if not window > 0:
         raise InvalidParameterError(f"window must be > 0, got {window}")
@@ -82,15 +101,9 @@ def windowed_series(
         # nudge guards against fp drift when tick_start sits on a boundary
         idx = int(math.floor((r.tick_start_s + 1e-12) / window))
         buckets.setdefault(idx, []).append(r)
-    if span_s is not None:
-        n_windows = max(1, math.ceil(span_s / window - 1e-12))
-    elif buckets:
-        n_windows = max(buckets) + 1
-    else:
-        return []
 
     out = []
-    for idx in range(n_windows):
+    for idx in range(max(1, math.ceil(span_s / window - 1e-12))):
         rows = buckets.get(idx, [])
         delivered = [r for r in rows if r.delivered]
         lat_ms = [r.latency_s * 1e3 for r in delivered]

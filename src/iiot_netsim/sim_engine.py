@@ -17,7 +17,8 @@ where one_way is the deterministic per-leg delay implied by the base hop
 server wait is the dynamic, transient part that builds up under load.
 
 A run returns its per-packet records and nothing else; reporting owns
-every summary of them (summarize_rtt, windowed_series).
+every summary of them (summarize_rtt, windowed_series), including the
+running mean latency that compare_fading tabulates per fading kind.
 
 Determinism: every random quantity comes from a substream keyed by
 (domain, node, tick), so runs are bit-reproducible and adding a node
@@ -38,7 +39,7 @@ from .channel_models import AwgnParams, RayleighParams, RicianParams, channel_ga
 from .errors import InvalidConfigError, InvalidParameterError
 from .qos_state_machine import MIN_LEGS, handshake_legs, handshake_rows, max_total_legs
 from .queueing_model import QueueParams
-from .reporting import IntervalReport, windowed_series
+from .reporting import mean_latency_so_far
 from .rng import DOMAIN_PACKET, DOMAIN_RATE_JITTER, DOMAIN_SERVER, RngStream
 from .rtt_model import HopConfig, compute_rtt
 
@@ -55,19 +56,16 @@ FADING_PARAMS = {
 }
 
 
-def per_packet_error_probability(snr_linear, packet_length: float, threshold_db: float):
+def per_packet_error_probability(snr_linear, threshold_db: float):
     """Logistic SNR threshold model: PER = 1/(1 + exp(k*(snr_db - threshold_db))).
 
-    Slope k is fixed at 1 per dB.  The model is length-independent; the
-    packet_length argument is validated but does not enter the curve,
-    which keeps the loss knob a single calibration constant.
+    Slope k is fixed at 1 per dB.  The model is length-independent, which
+    keeps the loss knob a single calibration constant.
     Accepts scalar or array snr_linear (>= 0, inf allowed).
     """
     snr = np.asarray(snr_linear, dtype=float)
     if np.any(snr < 0) or np.any(np.isnan(snr)):
         raise InvalidParameterError("snr_linear must be >= 0")
-    if packet_length < 1:
-        raise InvalidParameterError(f"packet_length must be >= 1, got {packet_length}")
     with np.errstate(divide="ignore"):
         snr_db = 10.0 * np.log10(snr)
     out = expit(PER_SLOPE_PER_DB * (threshold_db - snr_db))
@@ -246,10 +244,7 @@ def _leg_success_prob(config: SimulationConfig, z: np.ndarray) -> np.ndarray:
         snr = (h.real**2 + h.imag**2) / config.noise_n0
     if config.snr_threshold_db is None:
         return np.ones(n)
-    per = per_packet_error_probability(
-        snr, config.base_hop.packet_length, config.snr_threshold_db
-    )
-    return 1.0 - per
+    return 1.0 - per_packet_error_probability(snr, config.snr_threshold_db)
 
 
 def run_tick(state: SimulationState, t: int) -> list[PacketRecord]:
@@ -318,42 +313,6 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     )
 
 
-def traffic_loopback(
-    config: SimulationConfig, window: float, aggregate_rate: float = 300.0
-) -> list[IntervalReport]:
-    """Capacity-check profile: perfect channel at a fixed aggregate rate.
-
-    Overrides the channel to ideal (no fading, loss model off, no rate
-    jitter) and spreads aggregate_rate packets/second evenly across the
-    nodes; reports fixed-window counts, which come out loss-free whenever
-    the server keeps up.
-    """
-    if not window > 0:
-        raise InvalidConfigError(f"window must be > 0, got {window}")
-    if aggregate_rate < 0:
-        raise InvalidConfigError(f"aggregate_rate must be >= 0, got {aggregate_rate}")
-    per_node = aggregate_rate * config.tick_s / config.node_count
-    if abs(per_node - round(per_node)) > 1e-9:
-        raise InvalidConfigError(
-            f"aggregate_rate {aggregate_rate}/s does not split evenly over "
-            f"{config.node_count} nodes per {config.tick_s}s tick"
-        )
-    profile = replace(
-        config,
-        fading="none",
-        fading_params=None,
-        snr_threshold_db=None,
-        rate_jitter=False,
-        rate_growth_per_tick=0.0,
-        packets_per_node_per_tick=int(round(per_node)),
-        report_window_s=window,
-    )
-    result = run_simulation(profile)
-    return windowed_series(
-        result.records, window, config.base_hop.packet_length, span_s=config.duration_s
-    )
-
-
 @dataclass(frozen=True)
 class FadingSpec:
     """One column of a comparison run."""
@@ -364,17 +323,14 @@ class FadingSpec:
     noise_n0: float | None = None
 
 
-@dataclass(frozen=True)
-class FadingComparison:
-    kinds: tuple[str, ...]
-    sample_times_s: tuple[float, ...]
-    latency_s: np.ndarray  # rows = sample times, cols = kinds; nan when idle
-
-
 def compare_fading(
     base: SimulationConfig, kinds: list[FadingSpec], sample_times: list[float]
-) -> FadingComparison:
-    """Average-latency-so-far per fading kind at each sample time.
+) -> np.ndarray:
+    """Average latency so far, in ms, per fading kind at each sample time.
+
+    Returns a (sample times x kinds) array, NaN where no packet of that
+    kind was delivered yet; reporting.mean_latency_so_far computes each
+    column.
 
     All kinds run from the same seed, so they share per-packet draws
     (send jitter, channel normals, leg uniforms, service times); the
@@ -396,24 +352,13 @@ def compare_fading(
                 f"sample time {t} outside (0, {base.duration_s}]"
             )
 
-    matrix = np.full((len(sample_times), len(kinds)), math.nan)
-    for j, spec in enumerate(kinds):
+    columns = []
+    for spec in kinds:
         cfg = replace(
             base,
             fading=spec.fading,
             fading_params=spec.fading_params,
             noise_n0=spec.noise_n0 if spec.noise_n0 is not None else base.noise_n0,
         )
-        result = run_simulation(cfg)
-        rows = sorted(
-            (r.send_time_s, r.latency_s) for r in result.records if r.delivered
-        )
-        sends = np.array([s for s, _ in rows])
-        lats = np.cumsum([l for _, l in rows])
-        for i, t in enumerate(sample_times):
-            n = int(np.searchsorted(sends, t, side="right"))
-            if n > 0:
-                matrix[i, j] = lats[n - 1] / n
-    return FadingComparison(
-        kinds=tuple(labels), sample_times_s=tuple(sample_times), latency_s=matrix
-    )
+        columns.append(mean_latency_so_far(run_simulation(cfg).records, sample_times))
+    return np.array(columns, dtype=float).T  # an idle cell's None becomes NaN

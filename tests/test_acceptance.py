@@ -41,7 +41,7 @@ from iiot_netsim.queueing_model import (
 from iiot_netsim.reporting import summarize_rtt, windowed_series
 from iiot_netsim.rng import RngStream
 from iiot_netsim.rtt_model import HopConfig, compute_rtt
-from iiot_netsim.sim_engine import compare_fading, run_simulation, traffic_loopback
+from iiot_netsim.sim_engine import compare_fading, run_simulation
 
 SEED = 20260817
 KS_SIGNIFICANCE = 0.01
@@ -196,7 +196,11 @@ def test_criterion_4_rtt_model(capsys):
 def test_criterion_5_loopback_capacity(capsys):
     t0 = time.perf_counter()
     cfg, _ = shipped_config("default_simulate.json")
-    reports = traffic_loopback(replace(cfg, duration_s=60.0), window=5.0)
+    # the shipped simulate config is the loopback profile: perfect channel, 300 pps
+    loop = replace(cfg, duration_s=60.0)
+    reports = windowed_series(
+        run_simulation(loop).records, 5.0, loop.base_hop.packet_length, span_s=loop.duration_s
+    )
     counts = {r.sent for r in reports}
     lost = sum(r.lost for r in reports)
     elapsed = time.perf_counter() - t0
@@ -232,7 +236,7 @@ def test_criterion_7_fading_ordering(capsys):
     ordered = 0
     for seed in range(1, 31):
         cfg, plan = shipped_config("default_compare.json", seed=seed)
-        m = compare_fading(cfg, plan.kinds, plan.sample_times_s).latency_s
+        m = compare_fading(cfg, plan.kinds, plan.sample_times_s)
         ordered += bool(np.all(np.diff(m, axis=1) > 0.0))
     ok = ordered >= 29  # >= 95% of 30 runs
     detail = f"none < rayleigh < rician < awgn at every sample time in {ordered}/30 runs (need >= 29)"

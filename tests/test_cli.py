@@ -311,6 +311,37 @@ class TestCompareFading:
         assert (a / "fading_table.csv").read_bytes() == (b / "fading_table.csv").read_bytes()
 
 
+def _overload(doc):
+    doc["base_hop"]["service_rate_pps"] = 250.0  # offered 5*60=300 exceeds capacity
+
+
+def _zero_rayleigh_noise(doc):
+    doc["comparison"]["kinds"][1]["noise_n0"] = 0.0  # kinds[1] is rayleigh
+
+
+@pytest.mark.parametrize(
+    "command,config,edit,code,message",
+    [
+        ("simulate", "default_simulate.json", _overload, 3, "instability"),
+        ("compare-fading", "default_compare.json", _zero_rayleigh_noise, 2, "noise_n0"),
+    ],
+    ids=["simulate-overload", "compare-fading-zero-noise"],
+)
+def test_library_rejection_leaves_no_output_dir(
+    tmp_path, capsys, command, config, edit, code, message
+):
+    # these inputs pass config parsing and are rejected by the library call
+    doc = load_doc(config)
+    edit(doc)
+    out = tmp_path / "o"
+    rc = cli.main([command, "--config", write_doc(tmp_path, doc), "--out", str(out)])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 class TestValidateChannel:
     def test_rayleigh_passes(self, tmp_path, capsys):
         out = tmp_path / "v"

@@ -190,7 +190,7 @@ def test_qos2_delegates():
     h = channel_gain(cfg.fading_params, gen.standard_normal((2, n)))
     leg_u = gen.random((handshake_rows(2, 2), n))
     snr = (h.real**2 + h.imag**2) / cfg.noise_n0
-    p = 1.0 - per_packet_error_probability(snr, cfg.base_hop.packet_length, 0.0)
+    p = 1.0 - per_packet_error_probability(snr, 0.0)
     delivered, legs = handshake_legs(2, p, leg_u, 2)
     assert [r.delivered for r in records] == delivered.tolist()
     assert [r.attempts for r in records] == legs.tolist()

@@ -10,7 +10,6 @@ from iiot_netsim.queueing_model import (
     QueueParams,
     erlang_c_probability,
     mean_wait_in_queue,
-    erlang_c_unsimplified,
     simulate_mmc,
 )
 from iiot_netsim.rng import RngStream
@@ -90,24 +89,11 @@ def test_wait_diverges_near_saturation():
     assert near >= 5.0 * far
 
 
-def test_unsimplified_form_hand_values():
-    assert erlang_c_unsimplified(QueueParams(1.0, 1.5, 1)) == pytest.approx(2.0 / 3.0, rel=1e-12)
-    assert erlang_c_unsimplified(QueueParams(1.5, 1.0, 2)) == pytest.approx(9.0 / 7.0, rel=1e-12)
-    assert erlang_c_unsimplified(QueueParams(1e-9, 1.0, 2)) < 1e-8
-
-
-@given(st.floats(min_value=0.05, max_value=0.95), st.integers(min_value=1, max_value=8))
-def test_unsimplified_form_is_c_times_erlang_c(util, c):
-    p = QueueParams(lam=util * c, mu=1.0, servers=c)
-    assert erlang_c_unsimplified(p) == pytest.approx(c * erlang_c_probability(p), rel=1e-12)
-
-
 def test_large_c_no_overflow():
     p = QueueParams(lam=60.0, mu=1.0, servers=64)
     c_prob = erlang_c_probability(p)
     assert 0.0 < c_prob < 1.0
     assert math.isfinite(mean_wait_in_queue(p))
-    assert math.isfinite(erlang_c_unsimplified(p))
 
 
 # ---- simulation oracle ---------------------------------------------------

@@ -13,6 +13,7 @@ from iiot_netsim.reporting import (
     fading_comparison_table,
     intervals_to_csv,
     latency_stats,
+    mean_latency_so_far,
     parse_intervals_csv,
     rtt_summary_to_csv,
     summarize_rtt,
@@ -25,14 +26,15 @@ class Rec:
     tick_start_s: float
     delivered: bool
     latency_s: float
+    send_time_s: float = 0.0
 
 
-def delivered(t, ms):
-    return Rec(tick_start_s=t, delivered=True, latency_s=ms * 1e-3)
+def delivered(t, ms, send=0.0):
+    return Rec(tick_start_s=t, delivered=True, latency_s=ms * 1e-3, send_time_s=send)
 
 
-def lost(t):
-    return Rec(tick_start_s=t, delivered=False, latency_s=math.nan)
+def lost(t, send=0.0):
+    return Rec(tick_start_s=t, delivered=False, latency_s=math.nan, send_time_s=send)
 
 
 class TestLatencyStats:
@@ -80,27 +82,31 @@ class TestSummarizeRtt:
 
 class TestWindowedSeries:
     def test_repeated_value_keeps_order(self):
-        (w,) = windowed_series([delivered(0, 0.1)] * 3, 1.0, 1000.0)
+        (w,) = windowed_series([delivered(0, 0.1)] * 3, 1.0, 1000.0, span_s=1.0)
         assert w.min_latency_ms <= w.avg_latency_ms <= w.max_latency_ms
 
     def test_uniform_rate_fills_windows(self):
         # 300 packets per 1 s tick over 20 s -> every 5 s window holds 1500
         recs = [delivered(t, 5.0) for t in range(20) for _ in range(300)]
-        out = windowed_series(recs, 5.0, 1000.0)
+        out = windowed_series(recs, 5.0, 1000.0, span_s=20.0)
         assert len(out) == 4
         assert all(w.sent == 1500 for w in out)
 
     def test_empty_input(self):
-        assert windowed_series([], 5.0, 1000.0) == []
+        out = windowed_series([], 5.0, 1000.0, span_s=10.0)
+        assert [(w.window_start_s, w.sent, w.avg_latency_ms) for w in out] == [
+            (0.0, 0, None),
+            (5.0, 0, None),
+        ]
 
     def test_throughput_arithmetic(self):
         recs = [delivered(0.0, 4.0)] * 10
-        out = windowed_series(recs, 5.0, 1000.0)
+        out = windowed_series(recs, 5.0, 1000.0, span_s=5.0)
         assert out[0].throughput_bps == pytest.approx(2000.0)
 
     def test_totals_telescope(self):
         recs = [delivered(t * 0.5, 6.0) for t in range(40)] + [lost(3.0), lost(9.5)]
-        out = windowed_series(recs, 5.0, 1000.0)
+        out = windowed_series(recs, 5.0, 1000.0, span_s=20.0)
         assert sum(w.sent for w in out) == len(recs)
         assert sum(w.lost for w in out) == 2
         for w in out:
@@ -108,8 +114,8 @@ class TestWindowedSeries:
 
     def test_rewindowing_consistency(self):
         recs = [delivered(t * 0.25, 8.0) for t in range(80)]
-        five = windowed_series(recs, 5.0, 1000.0)
-        ten = windowed_series(recs, 10.0, 1000.0)
+        five = windowed_series(recs, 5.0, 1000.0, span_s=20.0)
+        ten = windowed_series(recs, 10.0, 1000.0, span_s=20.0)
         assert len(five) == 4 and len(ten) == 2
         for i, w in enumerate(ten):
             assert w.sent == five[2 * i].sent + five[2 * i + 1].sent
@@ -123,13 +129,36 @@ class TestWindowedSeries:
 
     def test_boundary_attribution(self):
         # a tick starting exactly at the boundary belongs to the later window
-        out = windowed_series([delivered(5.0, 2.0)], 5.0, 1000.0)
+        out = windowed_series([delivered(5.0, 2.0)], 5.0, 1000.0, span_s=10.0)
         assert len(out) == 2
         assert out[0].sent == 0 and out[1].sent == 1
 
     def test_bad_window_rejected(self):
         with pytest.raises(InvalidParameterError):
-            windowed_series([], 0.0, 1000.0)
+            windowed_series([], 0.0, 1000.0, span_s=5.0)
+
+
+class TestMeanLatencySoFar:
+    def test_hand_example(self):
+        recs = [
+            delivered(2.0, 30.0, send=2.5),
+            lost(2.0, send=1.0),
+            delivered(0.0, 10.0, send=0.5),
+            delivered(1.0, 20.0, send=1.5),
+        ]
+        out = mean_latency_so_far(recs, [0.1, 0.5, 2.0, 3.0])
+        assert out[0] is None
+        assert out[1:] == pytest.approx([10.0, 15.0, 20.0], rel=1e-12)
+
+    def test_no_delivery_stays_none(self):
+        assert mean_latency_so_far([lost(0.0, send=0.5)], [1.0, 2.0]) == [None, None]
+        assert mean_latency_so_far([], [1.0]) == [None]
+
+    def test_mean_clamped_into_range(self):
+        # three latencies of 0.1 s: sum/len rounds above the max, latency_stats clamps it
+        recs = [delivered(0.0, 100.0, send=0.5)] * 3
+        assert sum(r.latency_s for r in recs) / 3 > recs[0].latency_s
+        assert mean_latency_so_far(recs, [1.0]) == [recs[0].latency_s * 1e3]
 
 
 class TestIntervalsCsv:
@@ -142,12 +171,12 @@ class TestIntervalsCsv:
 
     def test_round_trip_field_for_field(self):
         recs = [delivered(t * 0.5, 5.0 + t) for t in range(12)] + [lost(2.0)]
-        out = windowed_series(recs, 3.0, 1500.0)
+        out = windowed_series(recs, 3.0, 1500.0, span_s=6.0)
         again = parse_intervals_csv(intervals_to_csv(out))
         assert again == out
 
     def test_empty_window_cells_are_empty_strings(self):
-        out = windowed_series([lost(0.0)], 5.0, 1000.0)
+        out = windowed_series([lost(0.0)], 5.0, 1000.0, span_s=5.0)
         row = intervals_to_csv(out).splitlines()[1]
         assert row.endswith(",,,")
         assert parse_intervals_csv(intervals_to_csv(out)) == out

@@ -22,7 +22,6 @@ from iiot_netsim.sim_engine import (
     per_packet_error_probability,
     run_simulation,
     run_tick,
-    traffic_loopback,
 )
 
 SEED = 20260817
@@ -57,19 +56,19 @@ def make_config(**overrides) -> SimulationConfig:
 class TestPerPacketErrorProbability:
     def test_midpoint(self):
         # snr equal to threshold sits at the logistic midpoint
-        assert per_packet_error_probability(10 ** (-0.5), 1000, -5.0) == pytest.approx(
+        assert per_packet_error_probability(10 ** (-0.5), -5.0) == pytest.approx(
             0.5, rel=1e-12
         )
 
     def test_ten_db_above_threshold(self):
-        per = per_packet_error_probability(1.0, 1000, -10.0)
+        per = per_packet_error_probability(1.0, -10.0)
         assert per == pytest.approx(4.5397868702434395e-05, rel=1e-12)
 
     def test_infinite_snr(self):
-        assert per_packet_error_probability(math.inf, 1000, 0.0) == 0.0
+        assert per_packet_error_probability(math.inf, 0.0) == 0.0
 
     def test_zero_snr_is_certain_loss(self):
-        assert per_packet_error_probability(0.0, 1000, 0.0) == 1.0
+        assert per_packet_error_probability(0.0, 0.0) == 1.0
 
     @given(
         st.floats(min_value=1e-6, max_value=1e6),
@@ -78,20 +77,16 @@ class TestPerPacketErrorProbability:
     @settings(max_examples=200, deadline=None)
     def test_monotone_decreasing_in_snr(self, a, b):
         lo, hi = sorted((a, b))
-        p_lo = per_packet_error_probability(lo, 1000, 3.0)
-        p_hi = per_packet_error_probability(hi, 1000, 3.0)
+        p_lo = per_packet_error_probability(lo, 3.0)
+        p_hi = per_packet_error_probability(hi, 3.0)
         assert p_hi <= p_lo
 
     def test_negative_snr_rejected(self):
         with pytest.raises(InvalidParameterError):
-            per_packet_error_probability(-0.1, 1000, 0.0)
-
-    def test_short_packet_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            per_packet_error_probability(1.0, 0.5, 0.0)
+            per_packet_error_probability(-0.1, 0.0)
 
     def test_vectorized(self):
-        out = per_packet_error_probability(np.array([1.0, 10.0]), 1000, 0.0)
+        out = per_packet_error_probability(np.array([1.0, 10.0]), 0.0)
         assert out.shape == (2,)
         assert out[1] < out[0]
 
@@ -110,7 +105,7 @@ class TestChannelGain:
         z = RngStream(SEED).child("snr").gen.standard_normal((2, 500))
         h = channel_gain(params, z)
         snr = (h.real**2 + h.imag**2) / 0.7
-        expect = 1.0 - per_packet_error_probability(snr, cfg.base_hop.packet_length, 1.0)
+        expect = 1.0 - per_packet_error_probability(snr, 1.0)
         np.testing.assert_array_equal(_leg_success_prob(cfg, z), expect)
 
 
@@ -398,41 +393,36 @@ class TestQosMeansMatchAnalytic:
 
 
 class TestTrafficLoopback:
+    """The loopback capacity profile: a perfect channel at a fixed rate
+    (5 nodes x 60 packets per 1 s tick = 300 pps) in 5 s windows."""
+
+    @staticmethod
+    def windows(cfg):
+        records = run_simulation(cfg).records
+        return windowed_series(records, 5.0, cfg.base_hop.packet_length, span_s=cfg.duration_s)
+
     def test_default_profile_exact_windows(self):
         cfg = make_config(node_count=5, duration_s=60.0, packets_per_node_per_tick=60)
-        reports = traffic_loopback(cfg, window=5.0)
+        reports = self.windows(cfg)
         assert len(reports) == 12
         for rep in reports:
             assert rep.sent == 1500
             assert rep.lost == 0
 
     def test_zero_rate(self):
-        cfg = make_config(node_count=5, duration_s=10.0)
-        reports = traffic_loopback(cfg, window=5.0, aggregate_rate=0.0)
+        cfg = make_config(node_count=5, duration_s=10.0, packets_per_node_per_tick=0)
+        reports = self.windows(cfg)
         assert len(reports) == 2
         assert all(r.sent == 0 for r in reports)
 
     def test_overload_rejected_before_running(self):
-        cfg = make_config(node_count=5, base_hop=make_hop(service=200.0))
-        with pytest.raises(InstabilityError):
-            traffic_loopback(cfg, window=5.0)
-
-    def test_indivisible_rate_rejected(self):
-        cfg = make_config(node_count=7)
-        with pytest.raises(InvalidConfigError):
-            traffic_loopback(cfg, window=5.0)
-
-    def test_ignores_fading_of_base_config(self):
         cfg = make_config(
-            node_count=5,
-            duration_s=10.0,
-            fading="rayleigh",
-            fading_params=RayleighParams(sigma=1.0),
-            noise_n0=1.0,
-            snr_threshold_db=5.0,
+            node_count=5, packets_per_node_per_tick=60, base_hop=make_hop(service=200.0)
         )
-        reports = traffic_loopback(cfg, window=5.0)
-        assert all(r.lost == 0 for r in reports)
+        with pytest.raises(InstabilityError):
+            make_state(cfg)
+        with pytest.raises(InstabilityError):
+            run_simulation(cfg)
 
 
 class TestCompareFading:
@@ -462,20 +452,23 @@ class TestCompareFading:
             FadingSpec("b", "rayleigh", RayleighParams(sigma=1.0), noise_n0=2.0),
         ]
         out = compare_fading(self.base(), kinds, [2.0, 6.0, 10.0])
-        np.testing.assert_array_equal(out.latency_s[:, 0], out.latency_s[:, 1])
+        np.testing.assert_array_equal(out[:, 0], out[:, 1])
 
     def test_shipped_ordering_holds_spot(self):
         for seed in (1, 2, 3):
-            m = compare_fading(self.base(seed), self.KINDS, [2.0, 6.0, 10.0]).latency_s
+            m = compare_fading(self.base(seed), self.KINDS, [2.0, 6.0, 10.0])
             for row in m:
                 assert row[0] < row[1] < row[2] < row[3]
 
     def test_none_column_constant_scale(self):
-        out = compare_fading(self.base(), self.KINDS[:1], [2.0, 10.0])
-        col = out.latency_s[:, 0] * 1e3
+        col = compare_fading(self.base(), self.KINDS[:1], [2.0, 10.0])[:, 0]
         # perfect channel: 4 legs x one_way plus a small queue wait
         floor = 4 * self.base().one_way_s() * 1e3
         assert all(floor < v < floor + 2.0 for v in col)
+
+    def test_idle_cells_are_nan(self):
+        idle = replace(self.base(), packets_per_node_per_tick=0)
+        assert np.isnan(compare_fading(idle, self.KINDS[:2], [2.0, 10.0])).all()
 
     def test_validation(self):
         with pytest.raises(InvalidConfigError):
@@ -506,7 +499,7 @@ class TestSpecifiedTrends:
                 packets_per_node_per_tick=30,
                 snr_threshold_db=-8.0,
             )
-            m = compare_fading(base, [kinds_lo, kinds_hi], [4.0]).latency_s
+            m = compare_fading(base, [kinds_lo, kinds_hi], [4.0])
             wins += m[0, 1] >= m[0, 0]
         # one-sided sign test at 0.05: need >= 20 of 30 increases
         assert wins >= 20
