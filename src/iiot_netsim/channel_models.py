@@ -94,8 +94,8 @@ def rayleigh_pdf(r, sigma: float):
 
     Accepts a scalar or array r >= 0.
     """
-    if sigma <= 0:
-        raise InvalidParameterError(f"sigma must be > 0, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise InvalidParameterError(f"sigma must be finite and > 0, got {sigma}")
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise DomainError("magnitude r must be >= 0")
@@ -106,8 +106,8 @@ def rayleigh_pdf(r, sigma: float):
 
 def rayleigh_cdf(r, sigma: float):
     """Closed-form CDF 1 - exp(-r^2/(2 sigma^2)); KS reference for the sampler."""
-    if sigma <= 0:
-        raise InvalidParameterError(f"sigma must be > 0, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise InvalidParameterError(f"sigma must be finite and > 0, got {sigma}")
     r = np.asarray(r, dtype=float)
     out = 1.0 - np.exp(-(r * r) / (2.0 * sigma * sigma))
     return out if out.ndim else float(out)

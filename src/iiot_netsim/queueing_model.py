@@ -6,6 +6,7 @@ and W_q = C/(c*mu - lambda); simulate_mmc checks both by simulation.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +26,10 @@ class QueueParams:
     servers: int = 1
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise InvalidParameterError(f"lam must be > 0, got {self.lam}")
-        if not self.mu > 0:
-            raise InvalidParameterError(f"mu must be > 0, got {self.mu}")
+        if not 0 < self.lam < math.inf:
+            raise InvalidParameterError(f"lam must be finite and > 0, got {self.lam}")
+        if not 0 < self.mu < math.inf:
+            raise InvalidParameterError(f"mu must be finite and > 0, got {self.mu}")
         if self.servers < 1:
             raise InvalidParameterError(f"servers must be >= 1, got {self.servers}")
 

@@ -16,6 +16,10 @@ where one_way is the deterministic per-leg delay implied by the base hop
 (propagation + transmission + processing + static queueing) and the
 server wait is the dynamic, transient part that builds up under load.
 
+Per tick, the nodes only draw; run_tick evaluates the channel and the
+handshake once on their draws concatenated in (node, packet) order, admits
+the delivered packets in arrival order and builds each record once.
+
 A run returns its per-packet records and nothing else; reporting owns
 every summary of them (summarize_rtt, windowed_series), including the
 running mean latency that compare_fading tabulates per fading kind.
@@ -173,14 +177,11 @@ class SimulationConfig:
 
 @dataclass
 class PacketRecord:
-    node: int
-    tick: int
-    pkt: int
     tick_start_s: float
     send_time_s: float
     attempts: int
     delivered: bool
-    latency_s: float  # nan while undelivered
+    latency_s: float  # nan for a lost packet
 
 
 def _packets_for_tick(config: SimulationConfig, root: RngStream, node: int, tick: int) -> int:
@@ -248,7 +249,8 @@ def _leg_success_prob(config: SimulationConfig, z: np.ndarray) -> np.ndarray:
 
 
 def run_tick(state: SimulationState, t: int) -> list[PacketRecord]:
-    """Advance one tick; returns the records of the packets sent in it.
+    """Advance one tick; returns the records of the packets sent in it,
+    in (node, packet) order.
 
     Sends are jittered inside [tick_start, tick_end - guard], so every
     handshake finishes before the tick ends and server FIFO order across
@@ -258,51 +260,47 @@ def run_tick(state: SimulationState, t: int) -> list[PacketRecord]:
     if not 1 <= t <= cfg.n_ticks():
         raise InvalidParameterError(f"tick {t} outside 1..{cfg.n_ticks()}")
     tick_start = (t - 1) * cfg.tick_s
-    one_way = cfg.one_way_s()
     span = cfg.tick_s - cfg.handshake_guard_s()
     leg_rows = handshake_rows(cfg.qos_level, cfg.max_retries_per_leg)
 
-    tick_records: list[PacketRecord] = []
-    queued = []  # (arrival, node_id, pkt, record) for delivered packets
+    # each node draws from its own substreams; the tick evaluates them at once
+    u_send, z, leg_u, service = [], [], [], []
     for node in range(1, cfg.node_count + 1):
         n_pkts = _packets_for_tick(cfg, state.root, node, t)
         if n_pkts == 0:
             continue
         gen = state.root.child(DOMAIN_PACKET, node, t).gen
-        u_send = gen.random(n_pkts)
-        z = gen.standard_normal((2, n_pkts))
-        leg_u = gen.random((leg_rows, n_pkts))
-        service = state.root.child(DOMAIN_SERVER, node, t).gen.exponential(
-            1.0 / cfg.server_mu(), n_pkts
+        u_send.append(gen.random(n_pkts))
+        z.append(gen.standard_normal((2, n_pkts)))
+        leg_u.append(gen.random((leg_rows, n_pkts)))
+        service.append(
+            state.root.child(DOMAIN_SERVER, node, t).gen.exponential(1.0 / cfg.server_mu(), n_pkts)
         )
+    if not u_send:
+        return []
 
-        p_leg = _leg_success_prob(cfg, z)
-        delivered, legs = handshake_legs(cfg.qos_level, p_leg, leg_u, cfg.max_retries_per_leg)
-        send = tick_start + u_send * span
-        travel = legs * one_way
+    p_leg = _leg_success_prob(cfg, np.concatenate(z, axis=1))
+    delivered, legs = handshake_legs(
+        cfg.qos_level, p_leg, np.concatenate(leg_u, axis=1), cfg.max_retries_per_leg
+    )
+    send = tick_start + np.concatenate(u_send) * span
+    arrival = send + legs * cfg.one_way_s()
 
-        for k in range(n_pkts):
-            rec = PacketRecord(
-                node=node,
-                tick=t,
-                pkt=k,
-                tick_start_s=tick_start,
-                send_time_s=float(send[k]),
-                attempts=int(legs[k]),
-                delivered=bool(delivered[k]),
-                latency_s=math.nan,
-            )
-            tick_records.append(rec)
-            if rec.delivered:
-                queued.append((float(send[k] + travel[k]), node, k, float(service[k]), rec))
+    # exact FIFO at the server: admit in arrival order; the stable sort keeps
+    # (node, packet) order among equal arrivals
+    sends = send.tolist()
+    latency = [math.nan] * len(sends)
+    queued = np.flatnonzero(delivered)
+    queued = queued[np.argsort(arrival[queued], kind="stable")]
+    for i, arrived, svc in zip(
+        queued.tolist(), arrival[queued].tolist(), np.concatenate(service)[queued].tolist()
+    ):
+        latency[i] = (arrived - sends[i]) + state.server.admit(arrived, svc)
 
-    # exact FIFO at the server: admit in global arrival order
-    queued.sort(key=lambda item: (item[0], item[1], item[2]))
-    for arrival, _node, _pkt, svc, rec in queued:
-        wait = state.server.admit(arrival, svc)
-        rec.latency_s = (arrival - rec.send_time_s) + wait
-
-    return tick_records
+    return [
+        PacketRecord(tick_start, s, legs_k, ok, lat)
+        for s, legs_k, ok, lat in zip(sends, legs.tolist(), delivered.tolist(), latency)
+    ]
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:

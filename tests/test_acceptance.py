@@ -41,7 +41,7 @@ from iiot_netsim.queueing_model import (
 from iiot_netsim.reporting import summarize_rtt, windowed_series
 from iiot_netsim.rng import RngStream
 from iiot_netsim.rtt_model import HopConfig, compute_rtt
-from iiot_netsim.sim_engine import compare_fading, run_simulation
+from iiot_netsim.sim_engine import compare_fading, make_state, run_simulation, run_tick
 
 SEED = 20260817
 KS_SIGNIFICANCE = 0.01
@@ -279,12 +279,19 @@ def test_criterion_9_determinism(capsys, tmp_path):
         for name in ("intervals.csv", "rtt_summary.csv")
     )
 
+    # a tick's records come in (node, packet) order, so with one node more
+    # the prior nodes' outcomes must be the first records of every tick
     cfg, _ = shipped_config("default_simulate.json")
-    outcome = lambda r: (r.send_time_s, r.attempts, r.delivered)
-    base = {(r.node, r.tick, r.pkt): outcome(r) for r in run_simulation(cfg).records}
-    grown = run_simulation(replace(cfg, node_count=cfg.node_count + 1)).records
-    kept = {(r.node, r.tick, r.pkt): outcome(r) for r in grown if r.node <= cfg.node_count}
-    isolated = base == kept
+    small = make_state(cfg)
+    big = make_state(replace(cfg, node_count=cfg.node_count + 1))
+
+    def outcomes(state, t):
+        return [(r.send_time_s, r.attempts, r.delivered) for r in run_tick(state, t)]
+
+    isolated = True
+    for t in range(1, cfg.n_ticks() + 1):
+        prior, grown = outcomes(small, t), outcomes(big, t)
+        isolated &= len(grown) > len(prior) and grown[: len(prior)] == prior
 
     ok = rc_a == 0 and rc_b == 0 and identical and isolated
     detail = (

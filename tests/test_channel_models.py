@@ -92,6 +92,13 @@ def test_rayleigh_pdf_values():
         rayleigh_pdf(1.0, sigma=0.0)
 
 
+@pytest.mark.parametrize("sigma", [math.inf, math.nan])
+@pytest.mark.parametrize("density", [rayleigh_pdf, rayleigh_cdf])
+def test_rayleigh_closed_forms_reject_non_finite_sigma(density, sigma):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        density(1.0, sigma)
+
+
 def test_rayleigh_pdf_normalization():
     val, _ = integrate.quad(lambda r: rayleigh_pdf(r, sigma=1.0), 0.0, 20.0)
     assert abs(val - 1.0) < 1e-6

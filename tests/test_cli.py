@@ -423,6 +423,18 @@ class TestValidateChannel:
         # evidence is still written for the failed run
         assert (out / "channel_pdf.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["rayleigh", "awgn", "rician"])
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_reference_sigma_exits_2(self, tmp_path, capsys, kind, sigma):
+        out = tmp_path / "v"
+        argv = ["validate-channel", "--kind", kind, "--reference-sigma", sigma]
+        rc = cli.main(argv + ["--samples", "1000", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sigma" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_too_few_samples_exits_2(self, tmp_path):
         rc = cli.main(
             [
@@ -549,6 +561,15 @@ class TestQueue:
         assert rc == 3
         assert captured.out == ""
         assert "instability" in captured.err
+
+    @pytest.mark.parametrize("lam,mu", [("3", "inf"), ("inf", "3"), ("nan", "3"), ("3", "nan")])
+    def test_non_finite_rate_exits_2(self, capsys, lam, mu):
+        rc = cli.main(["queue", "--lam", lam, "--mu", mu])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "finite" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
 
 class TestParserSurface:

@@ -30,6 +30,14 @@ def test_params_validation():
         QueueParams(lam=1.0, mu=2.0, servers=0)
 
 
+@pytest.mark.parametrize(
+    "lam,mu", [(math.inf, 3.0), (math.nan, 3.0), (3.0, math.inf), (3.0, math.nan)]
+)
+def test_params_reject_non_finite_rates(lam, mu):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        QueueParams(lam=lam, mu=mu)
+
+
 def test_erlang_c_single_server_is_rho():
     assert erlang_c_probability(QueueParams(1.0, 2.0, 1)) == pytest.approx(0.5, rel=1e-12)
 

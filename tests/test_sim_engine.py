@@ -306,13 +306,8 @@ class TestDeterminismAndIsolation:
         )
         a = run_simulation(cfg)
         b = run_simulation(cfg)
-        assert [
-            (r.node, r.tick, r.pkt, r.send_time_s, r.attempts, r.delivered, r.latency_s)
-            for r in a.records
-        ] == [
-            (r.node, r.tick, r.pkt, r.send_time_s, r.attempts, r.delivered, r.latency_s)
-            for r in b.records
-        ]
+        assert any(not r.delivered for r in a.records)  # lost packets compare too
+        assert a.records == b.records
 
     def test_seed_changes_output(self):
         cfg = make_config()
@@ -320,26 +315,57 @@ class TestDeterminismAndIsolation:
         b = run_simulation(replace(cfg, seed=SEED + 1))
         assert [r.send_time_s for r in a.records] != [r.send_time_s for r in b.records]
 
-    def test_adding_node_preserves_prior_outcomes(self):
-        # per-packet outcomes are keyed by (node, tick); latency is excluded
+    @pytest.mark.parametrize("qos_level", [0, 1, 2])
+    @pytest.mark.parametrize("rate_jitter", [False, True])
+    def test_adding_node_preserves_prior_outcomes(self, rate_jitter, qos_level):
+        # records come in (node, packet) order within a tick, so the N-node
+        # tick is a prefix of the (N+1)-node tick; latency is excluded
         # because all nodes share the server queue
-        base = dict(
+        cfg = make_config(
             fading="rician",
             fading_params=RicianParams(amplitude=1.0, sigma=1.0),
             noise_n0=8.0,
             snr_threshold_db=-10.0,
+            rate_jitter=rate_jitter,
+            qos_level=qos_level,
         )
-        small = run_simulation(make_config(node_count=3, **base))
-        big = run_simulation(make_config(node_count=4, **base))
+        small = make_state(cfg)
+        big = make_state(replace(cfg, node_count=cfg.node_count + 1))
 
-        def outcomes(res, n_nodes):
-            return {
-                (r.node, r.tick, r.pkt): (r.send_time_s, r.attempts, r.delivered)
-                for r in res.records
-                if r.node <= n_nodes
-            }
+        def outcomes(state, t):
+            return [(r.send_time_s, r.attempts, r.delivered) for r in run_tick(state, t)]
 
-        assert outcomes(small, 3) == outcomes(big, 3)
+        for t in range(1, cfg.n_ticks() + 1):
+            prior = outcomes(small, t)
+            grown = outcomes(big, t)
+            assert len(grown) > len(prior)
+            assert grown[: len(prior)] == prior
+
+
+class TestServerFifo:
+    def test_loaded_server_starts_in_arrival_order(self):
+        # retries spread arrivals away from send order; at utilization >= 0.9
+        # the queue is long, so any other admit order shows in the starts
+        cfg = make_config(
+            node_count=5,
+            packets_per_node_per_tick=190,
+            fading="awgn",
+            fading_params=AwgnParams(n0=0.1),
+            snr_threshold_db=7.0,
+        )
+        state = make_state(cfg)
+        one_way = cfg.one_way_s()
+        tol = 4 * math.ulp(cfg.duration_s)
+        delivered = retried = 0
+        for t in range(1, cfg.n_ticks() + 1):
+            recs = [r for r in run_tick(state, t) if r.delivered]
+            recs.sort(key=lambda r: r.send_time_s + r.attempts * one_way)
+            starts = np.array([r.send_time_s + r.latency_s for r in recs])
+            assert np.all(np.diff(starts) >= -tol)
+            delivered += len(recs)
+            retried += sum(r.attempts > cfg.min_legs() for r in recs)
+        assert delivered / (cfg.server_mu() * cfg.duration_s) >= 0.9
+        assert retried > 0
 
 
 class TestQosMeansMatchAnalytic:
