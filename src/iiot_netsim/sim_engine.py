@@ -16,9 +16,12 @@ where one_way is the deterministic per-leg delay implied by the base hop
 (propagation + transmission + processing + static queueing) and the
 server wait is the dynamic, transient part that builds up under load.
 
-Per tick, the nodes only draw; run_tick evaluates the channel and the
-handshake once on their draws concatenated in (node, packet) order, admits
-the delivered packets in arrival order and builds each record once.
+Per tick, run_tick derives the Philox key of every (domain, node, tick)
+substream it needs in one rng.philox_keys pass; each node then only
+re-keys the run's one generator and draws.  The tick evaluates the channel
+and the handshake once on those draws concatenated in (node, packet)
+order, admits the delivered packets in arrival order and builds each
+record once.
 
 A run returns its per-packet records and nothing else; reporting owns
 every summary of them (summarize_rtt, windowed_series), including the
@@ -44,7 +47,13 @@ from .errors import InvalidConfigError, InvalidParameterError
 from .qos_state_machine import MIN_LEGS, handshake_legs, handshake_rows, max_total_legs
 from .queueing_model import QueueParams
 from .reporting import mean_latency_so_far
-from .rng import DOMAIN_PACKET, DOMAIN_RATE_JITTER, DOMAIN_SERVER, RngStream
+from .rng import (
+    DOMAIN_PACKET,
+    DOMAIN_RATE_JITTER,
+    DOMAIN_SERVER,
+    RekeyableGenerator,
+    philox_keys,
+)
 from .rtt_model import HopConfig, compute_rtt
 
 PER_SLOPE_PER_DB = 1.0
@@ -184,16 +193,6 @@ class PacketRecord:
     latency_s: float  # nan for a lost packet
 
 
-def _packets_for_tick(config: SimulationConfig, root: RngStream, node: int, tick: int) -> int:
-    """Packets node offers at tick: the nominal rate, jittered when enabled."""
-    base = config.rate_at_tick(tick)
-    if not config.rate_jitter or base == 0:
-        return base
-    u = root.child(DOMAIN_RATE_JITTER, node, tick).gen.random()
-    lo, hi = RATE_JITTER_SPAN
-    return int(round(base * (lo + (hi - lo) * u)))
-
-
 @dataclass
 class CentralServer:
     """Single FIFO exponential server; free_at persists across ticks."""
@@ -210,8 +209,8 @@ class CentralServer:
 @dataclass
 class SimulationState:
     config: SimulationConfig
-    root: RngStream
     server: CentralServer
+    rng: RekeyableGenerator  # this run's own, re-keyed for every substream
 
 
 @dataclass(frozen=True)
@@ -226,7 +225,7 @@ def make_state(config: SimulationConfig) -> SimulationState:
     """Validate peak load against server capacity and set up run state."""
     if config.offered_rate_max() > 0:
         QueueParams(lam=config.offered_rate_max(), mu=config.server_mu()).require_stable()
-    return SimulationState(config=config, root=RngStream(config.seed), server=CentralServer())
+    return SimulationState(config=config, server=CentralServer(), rng=RekeyableGenerator())
 
 
 def _leg_success_prob(config: SimulationConfig, z: np.ndarray) -> np.ndarray:
@@ -262,22 +261,31 @@ def run_tick(state: SimulationState, t: int) -> list[PacketRecord]:
     tick_start = (t - 1) * cfg.tick_s
     span = cfg.tick_s - cfg.handshake_guard_s()
     leg_rows = handshake_rows(cfg.qos_level, cfg.max_retries_per_leg)
+    base = cfg.rate_at_tick(t)
+    if base == 0:
+        return []
+
+    # one key pass: keys[d][i] is the key of substream (domains[d], node i + 1, t)
+    domains = [DOMAIN_PACKET, DOMAIN_SERVER]
+    if cfg.rate_jitter:
+        domains.append(DOMAIN_RATE_JITTER)
+    spawn = np.broadcast_arrays(np.array(domains)[:, None], np.arange(1, cfg.node_count + 1), t)
+    keys = philox_keys(cfg.seed, np.stack(spawn, axis=-1)).tolist()
 
     # each node draws from its own substreams; the tick evaluates them at once
+    lo, hi = RATE_JITTER_SPAN
+    mean_service = 1.0 / cfg.server_mu()
     u_send, z, leg_u, service = [], [], [], []
-    for node in range(1, cfg.node_count + 1):
-        n_pkts = _packets_for_tick(cfg, state.root, node, t)
-        if n_pkts == 0:
-            continue
-        gen = state.root.child(DOMAIN_PACKET, node, t).gen
+    for packet_key, server_key, *jitter_key in zip(*keys):
+        n_pkts = base
+        if jitter_key:
+            u = state.rng.rekey(jitter_key[0]).random()
+            n_pkts = int(round(base * (lo + (hi - lo) * u)))
+        gen = state.rng.rekey(packet_key)
         u_send.append(gen.random(n_pkts))
         z.append(gen.standard_normal((2, n_pkts)))
         leg_u.append(gen.random((leg_rows, n_pkts)))
-        service.append(
-            state.root.child(DOMAIN_SERVER, node, t).gen.exponential(1.0 / cfg.server_mu(), n_pkts)
-        )
-    if not u_send:
-        return []
+        service.append(state.rng.rekey(server_key).exponential(mean_service, n_pkts))
 
     p_leg = _leg_success_prob(cfg, np.concatenate(z, axis=1))
     delivered, legs = handshake_legs(

@@ -342,6 +342,23 @@ def test_library_rejection_leaves_no_output_dir(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize(
+    "argv",
+    [["validate-channel", "--kind", "awgn", "--n0", "1"], ["qos-reliability", "1", "1", "1", "1"]],
+    ids=["validate-channel", "qos-reliability"],
+)
+def test_out_of_range_seed_exits_2(tmp_path, capsys, argv, seed):
+    out = tmp_path / "o"
+    extra = ["--out", str(out)] if argv[0] == "validate-channel" else []
+    assert cli.main(argv + extra + ["--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "seed" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 class TestValidateChannel:
     def test_rayleigh_passes(self, tmp_path, capsys):
         out = tmp_path / "v"

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from iiot_netsim.rng import RngStream
+from iiot_netsim.errors import InvalidParameterError
+from iiot_netsim.rng import RekeyableGenerator, RngStream, philox_keys
 
 
 def test_equal_keys_equal_draws():
@@ -40,3 +43,94 @@ def test_seed_validation():
         RngStream(2**64)
     with pytest.raises(ValueError):
         RngStream(5, (-2,))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed_is_a_parameter_error(seed):
+    with pytest.raises(InvalidParameterError):
+        RngStream(seed)
+    with pytest.raises(InvalidParameterError):
+        philox_keys(seed, [[1, 2, 3]])
+
+
+# philox_keys transcribes numpy's SeedSequence mixing; these pin the two
+# together, so a numpy release that changes either algorithm fails here.
+def reference_key(seed, spawn_key) -> np.ndarray:
+    ss = np.random.SeedSequence(seed, spawn_key=tuple(int(c) for c in spawn_key))
+    return ss.generate_state(2, np.uint64)
+
+
+COMPONENT = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    spawn_keys=st.integers(1, 5).flatmap(
+        lambda m: st.lists(st.lists(COMPONENT, min_size=m, max_size=m), min_size=1, max_size=8)
+    ),
+)
+@example(seed=0, spawn_keys=[[0, 0, 0]])
+@example(seed=1, spawn_keys=[[1, 1, 1]])
+@example(seed=2**32, spawn_keys=[[3, 600, 2**32 - 1]])
+@example(seed=2**64 - 1, spawn_keys=[[2**32 - 1, 2**32 - 1, 2**32 - 1]])
+@example(seed=401, spawn_keys=[[1, 7, 2**32], [1, 7, 5], [2**40, 0, 2**32 + 1]])
+def test_philox_keys_match_seed_sequence(seed, spawn_keys):
+    # rows whose components split into a different number of words mix in one batch
+    keys = philox_keys(seed, np.array(spawn_keys, dtype=np.uint64))
+    assert keys.dtype == np.uint64 and keys.shape == (len(spawn_keys), 2)
+    for row, key in zip(spawn_keys, keys):
+        np.testing.assert_array_equal(key, reference_key(seed, row))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 - 1])
+def test_philox_keys_every_spawn_key_width(seed, width):
+    rows = np.array(
+        [[0] * width, [2**32 - 1] * width, list(range(width)), [2**32 - 1, 0, 7, 2**32 - 1, 0][:width]],
+        dtype=np.uint64,
+    )
+    for row, key in zip(rows, philox_keys(seed, rows)):
+        np.testing.assert_array_equal(key, reference_key(seed, row))
+
+
+def test_philox_keys_shape_follows_batch_shape():
+    spawn = np.stack(np.broadcast_arrays(np.array([3, 1, 2])[:, None], np.arange(1, 5), 9), -1)
+    keys = philox_keys(401, spawn)
+    assert keys.shape == (3, 4, 2)
+    np.testing.assert_array_equal(keys[1, 2], reference_key(401, (1, 3, 9)))
+    np.testing.assert_array_equal(philox_keys(401, (1, 3, 9)), reference_key(401, (1, 3, 9)))
+    assert philox_keys(401, np.zeros((0, 3), dtype=np.int64)).shape == (0, 2)
+
+
+def test_philox_keys_tick_above_32_bits_is_split_not_wrapped():
+    # SeedSequence stores 2**32 + 5 as two words; a uint32 cast would give 5
+    big = philox_keys(7, np.array([[1, 4, 2**32 + 5]], dtype=np.int64))[0]
+    np.testing.assert_array_equal(big, reference_key(7, (1, 4, 2**32 + 5)))
+    assert not np.array_equal(big, reference_key(7, (1, 4, 5)))
+
+
+@pytest.mark.parametrize(
+    "spawn_keys", [[[1, -2, 3]], [[1.0, 2.0]], [[2**64, 1]], [[2**63, 1]], 5]
+)
+def test_philox_keys_rejects_what_it_cannot_encode(spawn_keys):
+    with pytest.raises(InvalidParameterError):
+        philox_keys(1, spawn_keys)
+
+
+@pytest.mark.parametrize("n", [1, 3, 1000])
+def test_rekeyed_generator_draws_like_a_fresh_stream(n):
+    ids = [(1, 5, 7), (2, 600, 2**32 + 1)]
+    keys = philox_keys(401, np.array(ids, dtype=np.uint64))
+    rng = RekeyableGenerator()
+
+    def draws(gen):
+        return gen.random(n), gen.standard_normal((2, n)), gen.exponential(0.5, n)
+
+    # both orders, so no key's draws depend on what the previous key left behind
+    for order in ([0, 1], [1, 0], [0, 0]):
+        for i in order:
+            for got, want in zip(draws(rng.rekey(keys[i])), draws(RngStream(401, ids[i]).gen)):
+                np.testing.assert_array_equal(got, want)

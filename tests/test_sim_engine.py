@@ -1,5 +1,7 @@
 """Engine behavior: error model, conservation, determinism, isolation."""
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -340,6 +342,61 @@ class TestDeterminismAndIsolation:
             grown = outcomes(big, t)
             assert len(grown) > len(prior)
             assert grown[: len(prior)] == prior
+
+    def test_interleaved_runs_match_runs_alone(self):
+        # each state re-keys its own generator, so two runs never share draws
+        cfgs = [make_config(rate_jitter=True), make_config(rate_jitter=True, seed=SEED + 1)]
+        alone = [run_simulation(cfg).records for cfg in cfgs]
+        states = [make_state(cfg) for cfg in cfgs]
+        interleaved = [[], []]
+        for t in range(1, cfgs[0].n_ticks() + 1):
+            for i in (1, 0):
+                interleaved[i].extend(run_tick(states[i], t))
+        assert interleaved == alone
+        assert alone[0] != alone[1]
+
+    def test_runs_in_two_threads_match_runs_alone(self):
+        # a generator shared between runs would mix one run's re-key into
+        # the other's draws once the threads switch often enough
+        cfgs = [
+            make_config(
+                node_count=200, packets_per_node_per_tick=2, rate_jitter=True, seed=SEED + i
+            )
+            for i in range(2)
+        ]
+        alone = [run_simulation(cfg).records for cfg in cfgs]
+        threaded = [None, None]
+
+        def run(i):
+            threaded[i] = run_simulation(cfgs[i]).records
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert threaded == alone
+
+    def test_many_node_run_builds_no_seed_sequence(self, monkeypatch):
+        # every substream key comes from the batched pass, never from RngStream
+        def refuse(*args, **kwargs):
+            raise AssertionError("SeedSequence built during a simulation run")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        cfg = make_config(
+            node_count=600,
+            duration_s=2.0,
+            packets_per_node_per_tick=1,
+            rate_jitter=True,
+            base_hop=make_hop(service=5000.0),
+        )
+        assert len(run_simulation(cfg).records) == 1200
 
 
 class TestServerFifo:
