@@ -10,6 +10,8 @@ Conventions: a complex channel gain h = h_I + j*h_Q with i.i.d. N(0, sigma^2)
 quadratures has Rayleigh-distributed magnitude; adding a line-of-sight
 component A*exp(j*theta) makes the magnitude Rician with K = A^2/(2*sigma^2).
 Complex AWGN of power spectral density N0 has variance N0/2 per quadrature.
+
+Only rician_pdf imports scipy (scipy.special.i0e).
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, InvalidParameterError
 from .rng import RngStream
@@ -120,6 +121,8 @@ def rician_pdf(r, params: RicianParams):
     arguments do not overflow: the product collapses to
     (r/s^2)*exp(-(r-A)^2/(2 s^2))*i0e(rA/s^2).
     """
+    from scipy import special
+
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise DomainError("magnitude r must be >= 0")

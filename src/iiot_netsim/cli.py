@@ -11,6 +11,9 @@ instability, 4 statistical check failure.  All failures print a single
 Units at this boundary are human-facing (milliseconds, dB); everything
 internal is SI.  Seed precedence: --seed, then IIOT_NETSIM_SEED, then
 the config file.
+
+Only cmd_validate_channel imports scipy (scipy.stats), so the other
+commands start without it.
 """
 from __future__ import annotations
 
@@ -24,7 +27,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import __version__
 from .channel_models import (
@@ -356,6 +358,8 @@ def _channel_samples(args, seed: int) -> tuple[np.ndarray, float, str]:
 
 
 def cmd_validate_channel(args) -> int:
+    from scipy import stats
+
     t0 = time.perf_counter()
     if args.samples < 100:
         raise InvalidParameterError(f"--samples must be >= 100, got {args.samples}")

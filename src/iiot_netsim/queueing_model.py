@@ -45,21 +45,48 @@ class QueueParams:
 
 
 def _poisson_terms(rho: float, c: int) -> tuple[float, float]:
-    """(sum of rho^k/k! for k < c, rho^c/c!), built iteratively to dodge overflow."""
+    """(sum of rho^k/k! for k < c, rho^c/c!), built iteratively.
+
+    The loop stops once a term underflows to 0.0 (every later term is 0.0
+    too) or overflows to inf (the caller then takes _erlang_b_to_c).
+    """
     term = 1.0
     acc = 0.0
     for k in range(c):
         acc += term
         term *= rho / (k + 1)
+        if not 0.0 < term < math.inf:
+            break
     return acc, term
 
 
+def _erlang_b_to_c(rho: float, c: int) -> float:
+    """C(c, rho) from the Erlang B recursion, which never overflows.
+
+    B(k) = rho*B(k-1)/(k + rho*B(k-1)) from B(0) = 1, then
+    C = c*B/(c - rho*(1 - B)).  Once B underflows to 0.0 it stays there.
+    """
+    b = 1.0
+    for k in range(1, c + 1):
+        b = rho * b / (k + rho * b)
+        if b == 0.0:
+            break
+    return c * b / (c - rho * (1.0 - b))
+
+
 def erlang_c_probability(params: QueueParams) -> float:
-    """Probability an arrival must wait: C(c, rho)."""
+    """Probability an arrival must wait: C(c, rho).
+
+    Sums the Poisson terms directly (perfbench's model_validation digest
+    pins those values bit for bit); a load whose terms overflow the float
+    range (rho above about 708) goes through the Erlang B recursion instead.
+    """
     params.require_stable()
     c, rho = params.servers, params.rho
     partial, top = _poisson_terms(rho, c)
     tail = top / (1.0 - rho / c)
+    if math.isinf(partial + tail):
+        return _erlang_b_to_c(rho, c)
     return tail / (partial + tail)
 
 

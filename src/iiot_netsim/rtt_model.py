@@ -6,13 +6,13 @@ total = 2 * sum_i(d_i/v_i + (L_i/R_i)*h_i + P_i + h_i/(mu_i - lambda_i))
 The per-hop weight h_i multiplies both the transmission and queueing
 terms (and only those two); it defaults to 1.  All values are SI
 seconds internally.
+
+Only calibrate_to_target imports scipy (scipy.optimize.brentq).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-from scipy import optimize
 
 from .errors import InstabilityError, InvalidParameterError, UnreachableTargetError
 
@@ -157,6 +157,8 @@ def calibrate_to_target(
         )
     if increasing and gap(lo) > 0.0:
         lo = 0.0
+
+    from scipy import optimize
 
     s_star = optimize.brentq(gap, lo, hi, xtol=1e-15, rtol=1e-12)
     out = _scaled(hops, free_param, references, s_star)

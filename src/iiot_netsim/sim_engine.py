@@ -33,6 +33,9 @@ never perturbs existing nodes' draws.  Leg outcomes use inverse-CDF
 geometric draws (one uniform per leg), which keeps draw alignment across
 fading kinds in comparison runs: the same seed gives every kind the same
 uniforms, coupling the runs for low-variance ordering.
+
+Only per_packet_error_probability imports scipy (scipy.special.expit), so
+a run on an ideal or lossless channel never loads it.
 """
 from __future__ import annotations
 
@@ -40,7 +43,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .channel_models import AwgnParams, RayleighParams, RicianParams, channel_gain
 from .errors import InvalidConfigError, InvalidParameterError
@@ -76,6 +78,8 @@ def per_packet_error_probability(snr_linear, threshold_db: float):
     keeps the loss knob a single calibration constant.
     Accepts scalar or array snr_linear (>= 0, inf allowed).
     """
+    from scipy.special import expit
+
     snr = np.asarray(snr_linear, dtype=float)
     if np.any(snr < 0) or np.any(np.isnan(snr)):
         raise InvalidParameterError("snr_linear must be >= 0")

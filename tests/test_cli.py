@@ -572,6 +572,13 @@ class TestQueue:
         assert float(f[3]) == pytest.approx(erlang_c_probability(params), rel=1e-9)
         assert float(f[4]) == pytest.approx(mean_wait_in_queue(params), rel=1e-9)
 
+    def test_load_past_the_float_range_prints_finite_values(self, capsys):
+        rc = cli.main(["queue", "--lam", "1000", "--mu", "1", "--servers", "1001"])
+        assert rc == 0
+        erlang_c, wq = map(float, capsys.readouterr().out.splitlines()[1].split(",")[3:])
+        assert 0.0 < erlang_c < 1.0
+        assert 0.0 < wq < math.inf
+
     def test_unstable_exits_3_without_partial_output(self, capsys):
         rc = cli.main(["queue", "--lam", "10", "--mu", "5"])
         captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 """Erlang-C closed forms against hand values and the discrete-event oracle."""
 import math
+import time
 
 import pytest
 from hypothesis import given
@@ -39,13 +40,12 @@ def test_params_reject_non_finite_rates(lam, mu):
 
 
 def test_erlang_c_single_server_is_rho():
-    assert erlang_c_probability(QueueParams(1.0, 2.0, 1)) == pytest.approx(0.5, rel=1e-12)
+    assert erlang_c_probability(QueueParams(1.0, 2.0, 1)) == 0.5
 
 
 def test_erlang_c_two_servers_hand_value():
     # rho = 1.5: tail = (1.125)/(0.25) = 4.5, partial = 1 + 1.5 -> 4.5/7
-    c = erlang_c_probability(QueueParams(1.5, 1.0, 2))
-    assert c == pytest.approx(4.5 / 7.0, rel=1e-12)
+    assert erlang_c_probability(QueueParams(1.5, 1.0, 2)) == 4.5 / 7.0
 
 
 def test_erlang_c_vanishing_load():
@@ -77,8 +77,8 @@ def test_erlang_c_monotone_in_lambda():
 
 
 def test_mean_wait_hand_values():
-    assert mean_wait_in_queue(QueueParams(1.0, 2.0, 1)) == pytest.approx(0.5, rel=1e-12)
-    assert mean_wait_in_queue(QueueParams(1.5, 1.0, 2)) == pytest.approx(9.0 / 7.0, rel=1e-12)
+    assert mean_wait_in_queue(QueueParams(1.0, 2.0, 1)) == 0.5
+    assert mean_wait_in_queue(QueueParams(1.5, 1.0, 2)) == 9.0 / 7.0
     assert mean_wait_in_queue(QueueParams(1e-9, 1.0, 1)) < 1e-8
 
 
@@ -102,6 +102,54 @@ def test_large_c_no_overflow():
     c_prob = erlang_c_probability(p)
     assert 0.0 < c_prob < 1.0
     assert math.isfinite(mean_wait_in_queue(p))
+
+
+def _erlang_c_direct(rho, c):
+    """C(c, rho) from the plain Poisson-term sum, the form used below ~708 Erlangs."""
+    term, acc = 1.0, 0.0
+    for k in range(c):
+        acc += term
+        term *= rho / (k + 1)
+    tail = term / (1.0 - rho / c)
+    return tail / (acc + tail)
+
+
+def test_erlang_c_equals_the_direct_sum_bit_for_bit():
+    # wherever the direct sum stays in the float range, the result is its value
+    checked = 0
+    for rho in [1e-6, 0.3, 0.9, 2.5, 7.0, 31.0, 99.5, 250.0, 512.0, 690.0, 700.0, 705.5]:
+        for extra in [1, 2, 5, 17, 60, 200, 600]:
+            c = math.floor(rho) + extra
+            want = _erlang_c_direct(rho, c)
+            if math.isfinite(want):
+                assert erlang_c_probability(QueueParams(rho, 1.0, c)) == want, (rho, c)
+                checked += 1
+    assert checked >= 80
+
+
+@pytest.mark.parametrize(
+    "lam,mu,servers",
+    # the direct sum overflows on all four; it gave nan, nan, nan and 0.0
+    [(1000.0, 1.0, 1001), (720.0, 1.0, 730), (5000.0, 1.0, 5100), (709.0, 1.0, 714)],
+)
+def test_erlang_c_overflowing_loads_match_mpmath(lam, mu, servers):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        rho = mpmath.mpf(lam) / mpmath.mpf(mu)
+        partial = mpmath.fsum(rho**k / mpmath.factorial(k) for k in range(servers))
+        tail = rho**servers / mpmath.factorial(servers) / (1 - rho / servers)
+        want = float(tail / (partial + tail))
+    got = erlang_c_probability(QueueParams(lam, mu, servers))
+    assert 0.0 < got < 1.0
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert math.isfinite(mean_wait_in_queue(QueueParams(lam, mu, servers)))
+
+
+def test_erlang_c_stops_once_the_terms_underflow():
+    # a billion servers: the terms reach 0.0 within a few hundred steps
+    t0 = time.perf_counter()
+    assert erlang_c_probability(QueueParams(1.0, 2.0, 10**9)) == 0.0
+    assert time.perf_counter() - t0 < 1.0
 
 
 # ---- simulation oracle ---------------------------------------------------
