@@ -50,7 +50,7 @@ from .errors import (
     UnreachableTargetError,
 )
 from .qos_state_machine import QoSChainParams, reliability, reliability_monte_carlo
-from .queueing_model import QueueParams, erlang_c_probability, mean_wait_in_queue
+from .queueing_model import QueueParams, erlang_c_probability
 from .reporting import (
     fading_comparison_table,
     intervals_to_csv,
@@ -497,7 +497,9 @@ def cmd_rtt(args) -> int:
 def cmd_queue(args) -> int:
     params = QueueParams(lam=args.lam, mu=args.mu, servers=args.servers)
     erlang_c = erlang_c_probability(params)
-    wq = mean_wait_in_queue(params)
+    # mean_wait_in_queue's expression on the C(c, rho) just computed, which
+    # costs O(rho) at large loads
+    wq = erlang_c / (params.servers * params.mu - params.lam)
     print(QUEUE_HEADER)
     print(f"{_fmt(args.lam)},{_fmt(args.mu)},{args.servers},{_fmt(erlang_c)},{_fmt(wq)}")
     return 0

@@ -1,19 +1,23 @@
-"""Aggregation of per-packet records into summary artifacts.
+"""Aggregation of a run's packet columns into summary artifacts.
 
-Consumes packet records duck-typed on the attributes
-(tick_start_s, send_time_s, delivered, latency_s); produces the
-round-trip summary, fixed-window interval series, and the running mean
-latency behind the fading-comparison table, each summary with a CSV
-mirror.  Latencies are reported in milliseconds, and every average goes
-through latency_stats.  This is the only module that summarizes records;
-the simulator returns them.
+Consumes the struct-of-arrays that sim_engine.run_simulation returns
+(sim_engine.PacketColumns: one array each of tick_start_s, send_time_s,
+attempts, delivered and latency_s, row i describing one packet);
+produces the round-trip summary, fixed-window interval series, and the
+running mean latency behind the fading-comparison table, each summary
+with a CSV mirror.  Latencies are reported in milliseconds, and every
+average goes through latency_stats, on a list taken from the columns:
+Python's sum over the values in row order, because numpy's pairwise
+summation rounds differently.  This is the only module that summarizes
+records; the simulator returns them.
 """
 from __future__ import annotations
 
-import bisect
 import io
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidParameterError, ShapeMismatchError
 
@@ -61,7 +65,7 @@ def latency_stats(values) -> tuple[float | None, float | None, float | None]:
 
 def summarize_rtt(records) -> RttSummary:
     """Min/max/avg latency over delivered packets; empty input stays empty."""
-    lat = [r.latency_s for r in records if r.delivered]
+    lat = records.latency_s[records.delivered].tolist()
     if not lat:
         return RttSummary(None, None, None, 0)
     lo, avg, hi = latency_stats(lat)
@@ -75,12 +79,13 @@ def mean_latency_so_far(records, times) -> list[float | None]:
     Deliveries are ordered by (send_time_s, latency_s), and each prefix's
     mean comes from latency_stats, like summarize_rtt's.
     """
-    rows = sorted((r.send_time_s, r.latency_s) for r in records if r.delivered)
-    sends = [s for s, _ in rows]
-    lats = [lat for _, lat in rows]
+    sends = records.send_time_s[records.delivered]
+    lats = records.latency_s[records.delivered]
+    order = np.lexsort((lats, sends))
+    lats = lats[order].tolist()
     out = []
-    for t in times:
-        _lo, avg, _hi = latency_stats(lats[: bisect.bisect_right(sends, t)])
+    for k in np.searchsorted(sends[order], times, side="right").tolist():
+        _lo, avg, _hi = latency_stats(lats[:k])
         out.append(None if avg is None else avg * 1e3)
     return out
 
@@ -92,30 +97,32 @@ def windowed_series(
     [0, span_s), including windows where no traffic was offered.
 
     A packet belongs to the window containing its tick start, so counts
-    telescope exactly.
+    telescope exactly; within a window, rows keep their order.
     """
     if not window > 0:
         raise InvalidParameterError(f"window must be > 0, got {window}")
-    buckets: dict[int, list] = {}
-    for r in records:
-        # nudge guards against fp drift when tick_start sits on a boundary
-        idx = int(math.floor((r.tick_start_s + 1e-12) / window))
-        buckets.setdefault(idx, []).append(r)
+    n_windows = max(1, math.ceil(span_s / window - 1e-12))
+    # nudge guards against fp drift when tick_start sits on a boundary
+    idx = np.floor((records.tick_start_s + 1e-12) / window)
+    order = np.argsort(idx, kind="stable")
+    edges = np.searchsorted(idx[order], np.arange(n_windows + 1)).tolist()
+    delivered = records.delivered[order]
+    lat_ms = records.latency_s[order] * 1e3
 
     out = []
-    for idx in range(max(1, math.ceil(span_s / window - 1e-12))):
-        rows = buckets.get(idx, [])
-        delivered = [r for r in rows if r.delivered]
-        lat_ms = [r.latency_s * 1e3 for r in delivered]
-        lo, avg, hi = latency_stats(lat_ms)
+    for i in range(n_windows):
+        rows = slice(edges[i], edges[i + 1])
+        window_lat = lat_ms[rows][delivered[rows]].tolist()
+        lo, avg, hi = latency_stats(window_lat)
+        sent = rows.stop - rows.start
         out.append(
             IntervalReport(
-                window_start_s=idx * window,
+                window_start_s=i * window,
                 window_len_s=window,
-                sent=len(rows),
-                delivered=len(delivered),
-                lost=len(rows) - len(delivered),
-                throughput_bps=len(delivered) * bits_per_packet / window,
+                sent=sent,
+                delivered=len(window_lat),
+                lost=sent - len(window_lat),
+                throughput_bps=len(window_lat) * bits_per_packet / window,
                 avg_latency_ms=avg,
                 min_latency_ms=lo,
                 max_latency_ms=hi,

@@ -20,10 +20,11 @@ Per tick, run_tick derives the Philox key of every (domain, node, tick)
 substream it needs in one rng.philox_keys pass; each node then only
 re-keys the run's one generator and draws.  The tick evaluates the channel
 and the handshake once on those draws concatenated in (node, packet)
-order, admits the delivered packets in arrival order and builds each
-record once.
+order and admits the tick's delivered packets to the server in one call,
+in arrival order.  Its records are columns (PacketColumns: one array per
+field), and a run concatenates the ticks column by column.
 
-A run returns its per-packet records and nothing else; reporting owns
+A run returns its per-packet columns and nothing else; reporting owns
 every summary of them (summarize_rtt, windowed_series), including the
 running mean latency that compare_fading tabulates per fading kind.
 
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,13 +190,47 @@ class SimulationConfig:
         return self.node_count * self.rate_at_tick(self.n_ticks()) / self.tick_s
 
 
-@dataclass
-class PacketRecord:
+class PacketRecord(NamedTuple):
+    """One packet of a run, as iterating PacketColumns yields it."""
+
     tick_start_s: float
     send_time_s: float
     attempts: int
     delivered: bool
     latency_s: float  # nan for a lost packet
+
+
+@dataclass(frozen=True, eq=False)
+class PacketColumns:
+    """A run's packets as one array per PacketRecord field, row i of every
+    column describing the same packet, in (tick, node, packet) order.
+
+    len() counts packets; iterating yields PacketRecord rows.
+    """
+
+    tick_start_s: np.ndarray  # float64
+    send_time_s: np.ndarray  # float64
+    attempts: np.ndarray  # int64, one-way legs consumed
+    delivered: np.ndarray  # bool
+    latency_s: np.ndarray  # float64, nan for a lost packet
+
+    @classmethod
+    def concat(cls, parts: list[PacketColumns]) -> PacketColumns:
+        return cls(
+            *(np.concatenate([getattr(p, f) for p in parts]) for f in PacketRecord._fields)
+        )
+
+    def __len__(self) -> int:
+        return len(self.send_time_s)
+
+    def __iter__(self):
+        columns = (getattr(self, f).tolist() for f in PacketRecord._fields)
+        return map(PacketRecord._make, zip(*columns))
+
+
+_NO_PACKETS = PacketColumns(
+    *(np.empty(0, dtype) for dtype in (float, float, np.int64, bool, float))
+)
 
 
 @dataclass
@@ -203,11 +239,20 @@ class CentralServer:
 
     free_at: float = 0.0
 
-    def admit(self, arrival: float, service: float) -> float:
-        """Queue one packet; returns its waiting time."""
-        start = self.free_at if self.free_at > arrival else arrival
-        self.free_at = start + service
-        return start - arrival
+    def admit(self, arrivals: list[float], services: list[float]) -> list[float]:
+        """Queue packets given in arrival order; returns their waiting times.
+
+        The Lindley recursion is sequential: a cumulative-max form rounds
+        differently.
+        """
+        free_at = self.free_at
+        waits = []
+        for arrival, service in zip(arrivals, services):
+            start = free_at if free_at > arrival else arrival
+            free_at = start + service
+            waits.append(start - arrival)
+        self.free_at = free_at
+        return waits
 
 
 @dataclass
@@ -219,10 +264,10 @@ class SimulationState:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Every packet record of a run, tick by tick; reporting.summarize_rtt
-    and reporting.windowed_series summarize them."""
+    """Every packet of a run, tick by tick; reporting.summarize_rtt and
+    reporting.windowed_series summarize them."""
 
-    records: list[PacketRecord]
+    records: PacketColumns
 
 
 def make_state(config: SimulationConfig) -> SimulationState:
@@ -251,9 +296,9 @@ def _leg_success_prob(config: SimulationConfig, z: np.ndarray) -> np.ndarray:
     return 1.0 - per_packet_error_probability(snr, config.snr_threshold_db)
 
 
-def run_tick(state: SimulationState, t: int) -> list[PacketRecord]:
-    """Advance one tick; returns the records of the packets sent in it,
-    in (node, packet) order.
+def run_tick(state: SimulationState, t: int) -> PacketColumns:
+    """Advance one tick; returns the packets sent in it, in (node, packet)
+    order.
 
     Sends are jittered inside [tick_start, tick_end - guard], so every
     handshake finishes before the tick ends and server FIFO order across
@@ -267,7 +312,7 @@ def run_tick(state: SimulationState, t: int) -> list[PacketRecord]:
     leg_rows = handshake_rows(cfg.qos_level, cfg.max_retries_per_leg)
     base = cfg.rate_at_tick(t)
     if base == 0:
-        return []
+        return _NO_PACKETS
 
     # one key pass: keys[d][i] is the key of substream (domains[d], node i + 1, t)
     domains = [DOMAIN_PACKET, DOMAIN_SERVER]
@@ -300,27 +345,20 @@ def run_tick(state: SimulationState, t: int) -> list[PacketRecord]:
 
     # exact FIFO at the server: admit in arrival order; the stable sort keeps
     # (node, packet) order among equal arrivals
-    sends = send.tolist()
-    latency = [math.nan] * len(sends)
     queued = np.flatnonzero(delivered)
     queued = queued[np.argsort(arrival[queued], kind="stable")]
-    for i, arrived, svc in zip(
-        queued.tolist(), arrival[queued].tolist(), np.concatenate(service)[queued].tolist()
-    ):
-        latency[i] = (arrived - sends[i]) + state.server.admit(arrived, svc)
-
-    return [
-        PacketRecord(tick_start, s, legs_k, ok, lat)
-        for s, legs_k, ok, lat in zip(sends, legs.tolist(), delivered.tolist(), latency)
-    ]
+    arrived = arrival[queued]
+    waits = state.server.admit(arrived.tolist(), np.concatenate(service)[queued].tolist())
+    latency = np.full(len(send), math.nan)
+    latency[queued] = (arrived - send[queued]) + waits
+    return PacketColumns(np.full(len(send), tick_start), send, legs, delivered, latency)
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:
     """Run every tick."""
     state = make_state(config)
-    return SimulationResult(
-        records=[r for t in range(1, config.n_ticks() + 1) for r in run_tick(state, t)]
-    )
+    ticks = [run_tick(state, t) for t in range(1, config.n_ticks() + 1)]
+    return SimulationResult(records=PacketColumns.concat(ticks))
 
 
 @dataclass(frozen=True)

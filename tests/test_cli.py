@@ -572,6 +572,23 @@ class TestQueue:
         assert float(f[3]) == pytest.approx(erlang_c_probability(params), rel=1e-9)
         assert float(f[4]) == pytest.approx(mean_wait_in_queue(params), rel=1e-9)
 
+    def test_erlang_c_computed_once(self, capsys, monkeypatch):
+        # W_q reuses C(c, rho), which is O(rho) at large loads
+        from iiot_netsim import queueing_model
+
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return erlang_c_probability(params)
+
+        monkeypatch.setattr(cli, "erlang_c_probability", counted)
+        monkeypatch.setattr(queueing_model, "erlang_c_probability", counted)
+        assert cli.main(["queue", "--lam", "8", "--mu", "5", "--servers", "2"]) == 0
+        assert len(calls) == 1
+        wq = capsys.readouterr().out.splitlines()[1].split(",")[4]
+        assert wq == cli._fmt(mean_wait_in_queue(QueueParams(lam=8.0, mu=5.0, servers=2)))
+
     def test_load_past_the_float_range_prints_finite_values(self, capsys):
         rc = cli.main(["queue", "--lam", "1000", "--mu", "1", "--servers", "1001"])
         assert rc == 0

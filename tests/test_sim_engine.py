@@ -1,7 +1,9 @@
 """Engine behavior: error model, conservation, determinism, isolation."""
+import gc
 import math
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +19,8 @@ from iiot_netsim.rtt_model import HopConfig
 from iiot_netsim.sim_engine import (
     CentralServer,
     FadingSpec,
+    PacketColumns,
+    PacketRecord,
     SimulationConfig,
     _leg_success_prob,
     compare_fading,
@@ -27,6 +31,15 @@ from iiot_netsim.sim_engine import (
 )
 
 SEED = 20260817
+
+
+def same_columns(a: PacketColumns, b: PacketColumns) -> bool:
+    """Column-for-column equality; lost packets' NaN latencies compare equal."""
+    return all(
+        getattr(a, f).dtype == getattr(b, f).dtype
+        and np.array_equal(getattr(a, f), getattr(b, f), equal_nan=True)
+        for f in PacketRecord._fields
+    )
 
 
 def make_hop(proc: float = 0.5e-3, service: float = 1000.0) -> HopConfig:
@@ -193,11 +206,13 @@ class TestStabilityGate:
 class TestCentralServer:
     def test_fifo_wait_accounting(self):
         srv = CentralServer()
-        assert srv.admit(arrival=0.0, service=2.0) == 0.0
-        # second arrival at t=1 waits until t=2
-        assert srv.admit(arrival=1.0, service=1.0) == pytest.approx(1.0)
-        # once the backlog clears, a later arrival is served at once
-        assert srv.admit(arrival=5.0, service=1.0) == 0.0
+        # the second arrival at t=1 waits until t=2; once the backlog
+        # clears, the arrival at t=5 is served at once
+        assert srv.admit([0.0, 1.0, 5.0], [2.0, 1.0, 1.0]) == [0.0, 1.0, 0.0]
+        # the backlog carries over to the next batch (next tick)
+        assert srv.free_at == 6.0
+        assert srv.admit([5.5, 8.0], [1.0, 1.0]) == [0.5, 0.0]
+        assert srv.admit([], []) == [] and srv.free_at == 9.0
 
 
 class TestRunTick:
@@ -289,7 +304,7 @@ class TestConservationAndInvariants:
     def test_zero_rate_run_is_empty(self):
         cfg = make_config(packets_per_node_per_tick=0)
         res = run_simulation(cfg)
-        assert res.records == []
+        assert len(res.records) == 0 and not res.records
         assert summarize_rtt(res.records).avg_ms is None
         reports = windowed_series(
             res.records, cfg.tick_s, cfg.base_hop.packet_length, span_s=cfg.duration_s
@@ -308,8 +323,8 @@ class TestDeterminismAndIsolation:
         )
         a = run_simulation(cfg)
         b = run_simulation(cfg)
-        assert any(not r.delivered for r in a.records)  # lost packets compare too
-        assert a.records == b.records
+        assert not a.records.delivered.all()  # lost packets compare too
+        assert same_columns(a.records, b.records)
 
     def test_seed_changes_output(self):
         cfg = make_config()
@@ -351,9 +366,10 @@ class TestDeterminismAndIsolation:
         interleaved = [[], []]
         for t in range(1, cfgs[0].n_ticks() + 1):
             for i in (1, 0):
-                interleaved[i].extend(run_tick(states[i], t))
-        assert interleaved == alone
-        assert alone[0] != alone[1]
+                interleaved[i].append(run_tick(states[i], t))
+        for ticks, records in zip(interleaved, alone):
+            assert same_columns(PacketColumns.concat(ticks), records)
+        assert not np.array_equal(alone[0].send_time_s, alone[1].send_time_s)
 
     def test_runs_in_two_threads_match_runs_alone(self):
         # a generator shared between runs would mix one run's re-key into
@@ -381,7 +397,7 @@ class TestDeterminismAndIsolation:
         finally:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
-        assert threaded == alone
+        assert all(same_columns(a, b) for a, b in zip(threaded, alone))
 
     def test_many_node_run_builds_no_seed_sequence(self, monkeypatch):
         # every substream key comes from the batched pass, never from RngStream
@@ -397,6 +413,63 @@ class TestDeterminismAndIsolation:
             base_hop=make_hop(service=5000.0),
         )
         assert len(run_simulation(cfg).records) == 1200
+
+
+class TestRecordColumns:
+    def test_one_tick_retains_at_most_64_bytes_per_packet(self):
+        # five columns of 8 + 8 + 8 + 1 + 8 bytes; per-packet objects would
+        # cost several times that
+        cfg = make_config(
+            node_count=4,
+            duration_s=1.0,
+            packets_per_node_per_tick=1500,
+            base_hop=make_hop(service=10_000.0),
+        )
+        run_simulation(make_config())  # numpy.random imports its generator lazily
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = run_simulation(cfg)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(res.records) == 6000
+        assert retained / len(res.records) <= 64
+
+    def test_benchmark_statistics_read_the_columns(self):
+        # perfbench reads records by iteration (model_stats) and truth test
+        # (record_bytes); both must agree with the columns
+        from perfbench import measure
+        from perfbench.run import model_stats, record_bytes
+
+        cfg = make_config(
+            node_count=4,
+            duration_s=2.0,
+            packets_per_node_per_tick=500,
+            base_hop=make_hop(service=5000.0),
+            fading="rayleigh",
+            fading_params=RayleighParams(sigma=1.0),
+            noise_n0=4.0,
+            snr_threshold_db=-10.0,
+            max_retries_per_leg=2,
+        )
+        res = run_simulation(cfg)
+        rec = res.records
+        lat_ms = (rec.latency_s[rec.delivered] * 1e3).tolist()
+        assert 0 < len(lat_ms) < len(rec)
+        assert model_stats([res], cfg) == {
+            "model.delivered_ratio": len(lat_ms) / len(rec),
+            "model.legs_per_packet": int(rec.attempts.sum()) / len(rec),
+            "model.server_utilization": len(lat_ms) / (cfg.server_mu() * cfg.duration_s),
+            "model.latency_ms_p50": measure.percentile(lat_ms, 0.5),
+            "model.latency_ms_p99": measure.percentile(lat_ms, 0.99),
+        }
+        # record_bytes measures a one-tick run: the columns plus a few kB of
+        # fixed objects (array headers, the interpreter's free lists)
+        tick = run_simulation(replace(cfg, duration_s=cfg.tick_s)).records
+        column_bytes = sum(getattr(tick, f).nbytes for f in PacketRecord._fields) / len(tick)
+        assert column_bytes <= record_bytes(cfg) <= column_bytes + 8
 
 
 class TestServerFifo:
