@@ -1,18 +1,16 @@
 """Deterministic substream RNG built on the counter-based Philox generator.
 
 A stream is identified by a 64-bit seed plus a tuple of nonnegative integers
-(the stream id).  Equal (seed, stream_id) pairs always yield identical sample
-sequences; distinct ids yield statistically independent streams.  Substreams
-are derived with child(), so e.g. packet draws keyed by
-(node, tick, packet) never shift when more nodes or ticks are added.
+(the stream id).  Equal (seed, stream_id) pairs always yield identical
+sample sequences; distinct ids yield statistically independent streams, so
+draws keyed by (domain, node, tick) never shift when nodes or ticks are added.
 
-RngStream is the reference: it builds each generator from numpy's
-SeedSequence.  A Philox stream is fully determined by its 128-bit key, so
-philox_keys derives the keys of a whole batch of stream ids at once with
-SeedSequence's own hash arithmetic on uint32 arrays; each key equals
-SeedSequence(seed, spawn_key=id).generate_state(2, np.uint64) bit for bit.
-RekeyableGenerator then draws each stream from one reused Philox, so
-many short streams cost a key assignment each instead of a SeedSequence.
+Every Philox key in the program comes from one derivation: numpy's seed
+sequence (numpy.random.bit_generator) hash mix on rows of uint32 words, bit
+for bit.  philox_keys keys a batch of ids with 32-bit components at once;
+RngStream splits its id into words as the seed sequence does and keys one
+row.  RekeyableGenerator draws each stream from one reused Philox, so many
+short streams cost a key assignment each instead of a new generator.
 """
 from __future__ import annotations
 
@@ -29,7 +27,7 @@ DOMAIN_PACKET = 1
 DOMAIN_SERVER = 2
 DOMAIN_RATE_JITTER = 3
 
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+# numpy's seed-sequence hash constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
 _XSHIFT = 16
 _INIT_A = 0x43B0D7E5
@@ -51,9 +49,8 @@ def _check_seed(seed) -> int:
 class RngStream:
     """Stateful random stream keyed by (seed, stream_id).
 
-    The underlying generator is created lazily from a SeedSequence with
-    spawn_key=stream_id, so construction is cheap and two streams with the
-    same key are bit-identical draw for draw.
+    The Philox generator is built lazily from the stream's key, so
+    construction is cheap; equal keys give bit-identical draws.
     """
 
     __slots__ = ("seed", "stream_id", "_gen")
@@ -66,8 +63,11 @@ class RngStream:
     @property
     def gen(self) -> np.random.Generator:
         if self._gen is None:
-            ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream_id)
-            self._gen = np.random.Generator(np.random.Philox(ss))
+            # the seed sequence's words: each component low word first, 0 as one word
+            ids = self.stream_id
+            words = [c >> s & _MASK32 for c in ids for s in range(0, c.bit_length() or 1, 32)]
+            key = _mixed_keys(self.seed, np.array([words], dtype=np.uint32))[0]
+            self._gen = np.random.Generator(np.random.Philox(key=key))
         return self._gen
 
     def child(self, *path) -> "RngStream":
@@ -89,12 +89,12 @@ def _key_component(value) -> int:
         return int.from_bytes(digest[:8], "little")
     out = int(value)
     if out < 0:
-        raise ValueError(f"stream id components must be >= 0, got {value}")
+        raise InvalidParameterError(f"stream id components must be >= 0, got {value}")
     return out
 
 
 def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
-    """SeedSequence's hashmix; returns (hashed value, next hash constant)."""
+    """The seed sequence's hashmix; returns (hashed value, next hash constant)."""
     value ^= hash_const
     hash_const = hash_const * _MULT_A & _MASK32
     value = value * hash_const & _MASK32
@@ -102,7 +102,7 @@ def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
 
 
 def _mix(x, y):
-    """SeedSequence's mix, on Python ints or uint32 arrays."""
+    """The seed sequence's mix, on Python ints or uint32 arrays."""
     result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return result ^ result >> _XSHIFT
 
@@ -119,44 +119,29 @@ def _hash_rows(values: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarr
     return values ^ values >> _XSHIFT, consts[-1]
 
 
-def _spawn_words(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """uint32 words of each row of a (n, m) uint64 array, as SeedSequence
-    splits them: one word per component below 2**32, else low then high.
-
-    Returns the words left-aligned in an (n, width) array, plus each row's
-    word count when the rows differ in length (None when all have m words).
-    """
-    hi = keys >> np.uint64(32)
-    if not hi.any():
-        return keys.astype(np.uint32), None
-    n_words = 1 + (hi > 0)
-    end = np.cumsum(n_words, axis=1)
-    words = np.zeros((len(keys), int(end[:, -1].max())), dtype=np.uint32)
-    words[np.arange(len(keys))[:, None], end - n_words] = keys & np.uint64(_MASK32)
-    rows, cols = np.nonzero(hi)
-    words[rows, end[rows, cols] - 1] = hi[rows, cols]
-    return words, end[:, -1]
-
-
 def philox_keys(seed: int, spawn_keys) -> np.ndarray:
-    """Philox keys of SeedSequence(seed, spawn_key=k) for every k at once.
+    """Philox keys of the streams (seed, k) for every stream id k at once.
 
     spawn_keys is an integer array of shape (..., m), one stream id of m
-    nonnegative components (each below 2**64) per row.  Returns a uint64
-    array of shape (..., 2): row k equals
-    SeedSequence(seed, spawn_key=tuple(k)).generate_state(2, np.uint64).
+    components, each in [0, 2**32), per row.  Returns a uint64 array of
+    shape (..., 2): row k is the key numpy's seed sequence with entropy
+    seed and spawn_key tuple(k) generates (generate_state(2, np.uint64)).
     """
     seed = _check_seed(seed)
     keys = np.asarray(spawn_keys)
-    if keys.ndim < 1 or keys.dtype.kind not in "iu":
+    # one pass: a negative component shifts to -1, one of 2**32 or more to >= 1
+    if keys.ndim < 1 or keys.dtype.kind not in "iu" or (keys >> 32).any():
         raise InvalidParameterError(
-            "spawn_keys must be an integer array of shape (..., m) with entries below 2**64"
+            "spawn_keys must be an integer array of shape (..., m) with entries in [0, 2**32)"
         )
-    if keys.dtype.kind == "i" and (keys < 0).any():
-        raise InvalidParameterError("spawn key components must be >= 0")
     shape = keys.shape[:-1]
-    words, n_words = _spawn_words(keys.reshape(math.prod(shape), keys.shape[-1]).astype(np.uint64))
+    words = keys.reshape(math.prod(shape), keys.shape[-1]).astype(np.uint32)
+    return _mixed_keys(seed, words).reshape(shape + (2,))
 
+
+def _mixed_keys(seed: int, words: np.ndarray) -> np.ndarray:
+    """Keys of the seed sequences (seed, spawn_key=row) for the rows of an
+    (n, w) uint32 array of spawn-key words; returns an (n, 2) uint64 array."""
     # the seed's words, zero-padded to the pool size, fill and mix the pool
     hash_const = _INIT_A
     pool = []
@@ -171,15 +156,13 @@ def philox_keys(seed: int, spawn_keys) -> np.ndarray:
 
     # each spawn-key word is mixed into the four pool words (rows) in turn
     pool = np.repeat(np.array(pool, dtype=np.uint32)[:, None], len(words), axis=1)
-    for j, column in enumerate(words.T):
+    for column in words.T:
         hashed, hash_const = _hash_rows(column, hash_const, _MULT_A)
-        mixed = _mix(pool, hashed)
-        pool = mixed if n_words is None else np.where(j < n_words, mixed, pool)
+        pool = _mix(pool, hashed)
 
     # generate_state(2, np.uint64): the four hashed pool words, paired little-endian
     state = _hash_rows(pool, _INIT_B, _MULT_B)[0].astype(np.uint64)
-    out = state[0::2] | state[1::2] << np.uint64(32)
-    return out.T.reshape(shape + (2,))
+    return (state[0::2] | state[1::2] << np.uint64(32)).T
 
 
 class RekeyableGenerator:

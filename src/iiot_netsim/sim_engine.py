@@ -41,6 +41,7 @@ a run on an ideal or lossless channel never loads it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -91,6 +92,11 @@ def per_packet_error_probability(snr_linear, threshold_db: float):
     return out if out.ndim else float(out)
 
 
+_INTEGER_FIELDS = (
+    "node_count", "seed", "qos_level", "packets_per_node_per_tick", "max_retries_per_leg"
+)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     node_count: int
@@ -110,8 +116,13 @@ class SimulationConfig:
     report_window_s: float = 5.0
 
     def __post_init__(self):
-        if self.node_count < 1:
-            raise InvalidConfigError(f"node_count must be >= 1, got {self.node_count}")
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+        # node and tick are 32-bit components of the substream ids (rng.philox_keys)
+        if not 1 <= self.node_count < 2**32:
+            raise InvalidConfigError(f"node_count must be in [1, 2**32), got {self.node_count}")
         if not 0 < self.duration_s < math.inf:
             raise InvalidConfigError(f"duration_s must be finite and > 0, got {self.duration_s}")
         if not self.tick_s > 0:
@@ -121,6 +132,8 @@ class SimulationConfig:
             raise InvalidConfigError(
                 f"duration_s must be a whole positive number of ticks, got {n:.6g}"
             )
+        if self.n_ticks() >= 2**32:
+            raise InvalidConfigError(f"a run must have < 2**32 ticks, got {self.n_ticks()}")
         if self.qos_level not in MIN_LEGS:
             raise InvalidConfigError(f"qos_level must be 0, 1 or 2, got {self.qos_level}")
         if self.packets_per_node_per_tick < 0:

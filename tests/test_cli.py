@@ -1,8 +1,10 @@
 """End-to-end command-line behavior: files, exit codes, reproducibility."""
+import argparse
 import json
 import math
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -244,6 +246,38 @@ class TestSimulate:
         assert all(r.window_len_s == 2.0 for r in rows)
 
 
+    def test_parser_built_once_and_nothing_parsed_leaks(self, tmp_path, monkeypatch):
+        built = []
+
+        class CountingParser(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=CountingParser))
+        cfg = str(shipped("default_simulate.json"))
+        out = tmp_path / "o"
+
+        def window_and_seed(*flags):
+            assert cli.main(["simulate", "--config", cfg, "--out", str(out), *flags]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            rows = parse_intervals_csv((out / "intervals.csv").read_text())
+            assert {r.window_len_s for r in rows} == {manifest["config"]["report_window_s"]}
+            return manifest["config"]["report_window_s"], manifest["seed"]
+
+        cli.build_parser.cache_clear()
+        try:
+            assert window_and_seed("--window", "2") == (2.0, 42)
+            n_built = len(built)
+            assert window_and_seed() == (5.0, 42)
+            assert window_and_seed("--seed", "9") == (5.0, 9)
+            assert window_and_seed() == (5.0, 42)
+        finally:
+            cli.build_parser.cache_clear()
+        # the first call built the parser and its subcommand parsers; no later call built any
+        assert n_built > 0 and len(built) == n_built
+
+
 class TestCompareFading:
     def test_happy_path(self, tmp_path, capsys):
         out = tmp_path / "cmp"
@@ -439,6 +473,19 @@ class TestValidateChannel:
         assert "statistical check failed" in capsys.readouterr().err
         # evidence is still written for the failed run
         assert (out / "channel_pdf.csv").exists()
+
+    def test_failed_quadrature_check_leaves_evidence(self, tmp_path, capsys, monkeypatch):
+        sample = cli.sample_awgn_batch
+        monkeypatch.setattr(cli, "sample_awgn_batch", lambda *args: 1.2 * sample(*args))
+        out = tmp_path / "v"
+        argv = ["validate-channel", "--kind", "awgn", "--samples", "50000", "--out", str(out)]
+        assert cli.main(argv) == 4
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: statistical check failed")
+        assert "real quadrature variance" in err[0] and "imag quadrature variance" in err[0]
+        assert captured.out.count("check quadrature-variance") == 2
+        assert (out / "channel_pdf.csv").exists() and (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("kind", ["rayleigh", "awgn", "rician"])
     @pytest.mark.parametrize("sigma", ["nan", "inf"])

@@ -1,10 +1,17 @@
+import json
+from dataclasses import replace
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iiot_netsim.errors import InvalidParameterError
+from iiot_netsim import cli
+from iiot_netsim.errors import InvalidConfigError, InvalidParameterError
 from iiot_netsim.rng import RekeyableGenerator, RngStream, philox_keys
+
+SHIPPED_SIMULATE = resources.files("iiot_netsim") / "configs" / "default_simulate.json"
 
 
 def test_equal_keys_equal_draws():
@@ -41,8 +48,10 @@ def test_seed_validation():
         RngStream(-1)
     with pytest.raises(ValueError):
         RngStream(2**64)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError):
         RngStream(5, (-2,))
+    with pytest.raises(InvalidParameterError):
+        RngStream(5).child(1, -1)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -53,39 +62,43 @@ def test_out_of_range_seed_is_a_parameter_error(seed):
         philox_keys(seed, [[1, 2, 3]])
 
 
-# philox_keys transcribes numpy's SeedSequence mixing; these pin the two
-# together, so a numpy release that changes either algorithm fails here.
+# Every Philox key comes from a transcription of numpy's SeedSequence mixing;
+# these pin the two together, so a numpy release that changes either fails here.
 def reference_key(seed, spawn_key) -> np.ndarray:
     ss = np.random.SeedSequence(seed, spawn_key=tuple(int(c) for c in spawn_key))
     return ss.generate_state(2, np.uint64)
 
 
-COMPONENT = st.one_of(
-    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1)
-)
+def reference_gen(seed, spawn_key) -> np.random.Generator:
+    ss = np.random.SeedSequence(seed, spawn_key=tuple(spawn_key))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+COMPONENT = st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
-    spawn_keys=st.integers(1, 5).flatmap(
+    spawn_keys=st.integers(0, 5).flatmap(
         lambda m: st.lists(st.lists(COMPONENT, min_size=m, max_size=m), min_size=1, max_size=8)
     ),
+    dtype=st.sampled_from([np.uint32, np.int64, np.uint64]),
 )
-@example(seed=0, spawn_keys=[[0, 0, 0]])
-@example(seed=1, spawn_keys=[[1, 1, 1]])
-@example(seed=2**32, spawn_keys=[[3, 600, 2**32 - 1]])
-@example(seed=2**64 - 1, spawn_keys=[[2**32 - 1, 2**32 - 1, 2**32 - 1]])
-@example(seed=401, spawn_keys=[[1, 7, 2**32], [1, 7, 5], [2**40, 0, 2**32 + 1]])
-def test_philox_keys_match_seed_sequence(seed, spawn_keys):
-    # rows whose components split into a different number of words mix in one batch
-    keys = philox_keys(seed, np.array(spawn_keys, dtype=np.uint64))
+@example(seed=0, spawn_keys=[[0, 0, 0]], dtype=np.int64)
+@example(seed=1, spawn_keys=[[1, 1, 1]], dtype=np.int64)
+@example(seed=2**32, spawn_keys=[[3, 600, 2**32 - 1]], dtype=np.int64)
+@example(seed=2**64 - 1, spawn_keys=[[2**32 - 1, 2**32 - 1, 2**32 - 1]], dtype=np.uint64)
+@example(seed=401, spawn_keys=[[], []], dtype=np.int64)  # RngStream(seed) with no child
+@example(seed=401, spawn_keys=[[1, 7, 5], [3, 600, 1]], dtype=np.int64)
+def test_philox_keys_match_seed_sequence(seed, spawn_keys, dtype):
+    keys = philox_keys(seed, np.array(spawn_keys, dtype=dtype))
     assert keys.dtype == np.uint64 and keys.shape == (len(spawn_keys), 2)
     for row, key in zip(spawn_keys, keys):
         np.testing.assert_array_equal(key, reference_key(seed, row))
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("width", [0, 1, 2, 3, 4, 5])
 @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 - 1])
 def test_philox_keys_every_spawn_key_width(seed, width):
     rows = np.array(
@@ -105,15 +118,37 @@ def test_philox_keys_shape_follows_batch_shape():
     assert philox_keys(401, np.zeros((0, 3), dtype=np.int64)).shape == (0, 2)
 
 
-def test_philox_keys_tick_above_32_bits_is_split_not_wrapped():
-    # SeedSequence stores 2**32 + 5 as two words; a uint32 cast would give 5
-    big = philox_keys(7, np.array([[1, 4, 2**32 + 5]], dtype=np.int64))[0]
-    np.testing.assert_array_equal(big, reference_key(7, (1, 4, 2**32 + 5)))
-    assert not np.array_equal(big, reference_key(7, (1, 4, 5)))
+def test_config_rejects_node_and_tick_ids_above_32_bits():
+    # node and tick are 32-bit words of the simulator's (domain, node, tick)
+    # ids, so a config that would need a wider one is refused, never wrapped
+    cfg = cli.build_config(json.loads(SHIPPED_SIMULATE.read_text()))[0]
+    edge = replace(cfg, node_count=2**32 - 1, duration_s=(2**32 - 1) * cfg.tick_s)
+    assert (edge.node_count, edge.n_ticks()) == (2**32 - 1, 2**32 - 1)
+    with pytest.raises(InvalidConfigError, match="node_count"):
+        replace(cfg, node_count=2**32)
+    with pytest.raises(InvalidConfigError, match="2\\*\\*32 ticks"):
+        replace(cfg, duration_s=2**32 * cfg.tick_s)
+    np.testing.assert_array_equal(
+        philox_keys(7, [[1, 4, 2**32 - 1]])[0], reference_key(7, (1, 4, 2**32 - 1))
+    )
 
 
 @pytest.mark.parametrize(
-    "spawn_keys", [[[1, -2, 3]], [[1.0, 2.0]], [[2**64, 1]], [[2**63, 1]], 5]
+    "spawn_keys",
+    [
+        [[1, -2, 3]],
+        [[1.0, 2.0]],
+        [[2**64, 1]],
+        [[2**63, 1]],
+        5,
+        # components are 32-bit words: wider ones are refused, never wrapped or split
+        [[2**32]],
+        [[1, 4, 2**32 + 5]],
+        np.array([[1, 4, 2**32]], dtype=np.uint64),
+        np.array([[2**64 - 1]], dtype=np.uint64),
+        np.array([[3, -(2**31)]], dtype=np.int32),
+        np.array([[True, True]]),
+    ],
 )
 def test_philox_keys_rejects_what_it_cannot_encode(spawn_keys):
     with pytest.raises(InvalidParameterError):
@@ -122,7 +157,7 @@ def test_philox_keys_rejects_what_it_cannot_encode(spawn_keys):
 
 @pytest.mark.parametrize("n", [1, 3, 1000])
 def test_rekeyed_generator_draws_like_a_fresh_stream(n):
-    ids = [(1, 5, 7), (2, 600, 2**32 + 1)]
+    ids = [(1, 5, 7), (2, 600, 2**32 - 1)]
     keys = philox_keys(401, np.array(ids, dtype=np.uint64))
     rng = RekeyableGenerator()
 
@@ -132,5 +167,25 @@ def test_rekeyed_generator_draws_like_a_fresh_stream(n):
     # both orders, so no key's draws depend on what the previous key left behind
     for order in ([0, 1], [1, 0], [0, 0]):
         for i in order:
-            for got, want in zip(draws(rng.rekey(keys[i])), draws(RngStream(401, ids[i]).gen)):
+            for got, want in zip(draws(rng.rekey(keys[i])), draws(reference_gen(401, ids[i]))):
                 np.testing.assert_array_equal(got, want)
+
+
+# the examples include every stream id the program builds through RngStream
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream_id=st.lists(st.one_of(st.integers(0, 2**80 - 1), st.text(max_size=8)), max_size=5),
+)
+@example(seed=42, stream_id=())
+@example(seed=401, stream_id=("qos-reliability",))
+@example(seed=0, stream_id=(0, 2**32 - 1, 2**32, 2**64 - 1))
+@example(seed=2**64 - 1, stream_id=("validate-channel", "awgn"))
+@example(seed=42, stream_id=("validate-channel", "rayleigh"))
+@example(seed=42, stream_id=("validate-channel", "rician"))
+@example(seed=42, stream_id=("validate-channel", "degenerate"))
+def test_stream_draws_match_seed_sequence(seed, stream_id):
+    stream = RngStream(seed, stream_id)
+    want = reference_gen(seed, stream.stream_id)
+    np.testing.assert_array_equal(stream.gen.random(8), want.random(8))
+    np.testing.assert_array_equal(stream.gen.standard_normal(3), want.standard_normal(3))

@@ -169,6 +169,30 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError):
             make_config(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"seed": 42.7},
+            {"packets_per_node_per_tick": 1.5},
+            {"max_retries_per_leg": 1.5},
+            {"node_count": 5.5},
+            {"node_count": True},
+            {"seed": True},
+            {"qos_level": True},
+            {"qos_level": 2.0},
+            {"packets_per_node_per_tick": False},
+            {"max_retries_per_leg": np.bool_(True)},
+        ],
+    )
+    def test_rejects_non_integer_integer_fields(self, overrides):
+        # a float or bool would run as some other integer or fail deep inside run_tick
+        with pytest.raises(InvalidConfigError, match="must be an integer"):
+            make_config(**overrides)
+
+    def test_accepts_numpy_integers(self):
+        cfg = make_config(node_count=np.int64(3), seed=np.uint64(SEED), qos_level=np.int8(2))
+        assert same_columns(run_simulation(cfg).records, run_simulation(make_config()).records)
+
     def test_server_rate_comes_from_base_hop(self):
         cfg = make_config()
         assert cfg.server_mu() == cfg.base_hop.service_rate
