@@ -11,6 +11,11 @@ for bit.  philox_keys keys a batch of ids with 32-bit components at once;
 RngStream splits its id into words as the seed sequence does and keys one
 row.  RekeyableGenerator draws each stream from one reused Philox, so many
 short streams cost a key assignment each instead of a new generator.
+
+philox_random computes a fresh stream's first uniform for a whole batch of
+keys at once: Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As
+Easy as 1, 2, 3", SC'11) written in uint64 numpy arithmetic, bit for bit
+what Generator(Philox(key=k)).random() returns first.
 """
 from __future__ import annotations
 
@@ -37,6 +42,14 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _POOL_SIZE = 4
+
+# Philox4x64 round multipliers and key increments (Random123), as columns
+# that act on the (counter word 0, counter word 2) rows of a batch
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(_MASK32)
+_SHIFT32 = np.uint64(32)
 
 
 def _check_seed(seed) -> int:
@@ -163,6 +176,50 @@ def _mixed_keys(seed: int, words: np.ndarray) -> np.ndarray:
     # generate_state(2, np.uint64): the four hashed pool words, paired little-endian
     state = _hash_rows(pool, _INIT_B, _MULT_B)[0].astype(np.uint64)
     return (state[0::2] | state[1::2] << np.uint64(32)).T
+
+
+def _mulhilo(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64 bits of the 128-bit products a * b of uint64 arrays,
+    the high word built from 32-bit halves so no partial sum overflows."""
+    a_lo, a_hi = a & _LOW32, a >> _SHIFT32
+    b_lo, b_hi = b & _LOW32, b >> _SHIFT32
+    lo_lo = a_lo * b_lo
+    hi_lo = a_hi * b_lo
+    # < 2**32 + 2**32 + (2**32 - 1)**2 < 2**64
+    cross = (lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + a_lo * b_hi
+    return a_hi * b_hi + (hi_lo >> _SHIFT32) + (cross >> _SHIFT32), a * b
+
+
+def _philox_block(keys: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 blocks of counter 1 under the keys of an (n, 2) uint64
+    array; returns (n, 4) uint64, row k equal to Philox(key=k).random_raw(4)."""
+    key = np.ascontiguousarray(keys.T)
+    # the counter (1, 0, 0, 0) as rows x = (word 0, word 2), y = (word 1, word 3)
+    x = np.zeros_like(key)
+    x[0] = 1
+    y = np.zeros_like(key)
+    # a round maps (c0, c1, c2, c3) to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2),
+    # hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)); the key advances by W before each
+    # round but the first
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key = key + _PHILOX_W
+        hi, lo = _mulhilo(x, _PHILOX_M)
+        x, y = hi[::-1] ^ y ^ key, lo[::-1]
+    return np.stack([x[0], y[0], x[1], y[1]], axis=-1)
+
+
+def philox_random(keys) -> np.ndarray:
+    """First uniform of a fresh Philox stream for every key at once.
+
+    keys is a uint64 array of shape (..., 2), as philox_keys returns.
+    Element k of the float64 result of shape (...) equals
+    Generator(Philox(key=keys[k])).random(): the block of counter 1 (numpy
+    increments the counter before its first block), word 0, top 53 bits.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    words = _philox_block(keys.reshape(-1, 2))[:, 0]
+    return ((words >> np.uint64(11)) * 2.0**-53).reshape(keys.shape[:-1])
 
 
 class RekeyableGenerator:

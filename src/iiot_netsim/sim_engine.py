@@ -17,11 +17,13 @@ where one_way is the deterministic per-leg delay implied by the base hop
 server wait is the dynamic, transient part that builds up under load.
 
 Per tick, run_tick derives the Philox key of every (domain, node, tick)
-substream it needs in one rng.philox_keys pass; each node then only
-re-keys the run's one generator and draws.  The tick evaluates the channel
-and the handshake once on those draws concatenated in (node, packet)
-order and admits the tick's delivered packets to the server in one call,
-in arrival order.  Its records are columns (PacketColumns: one array per
+substream it needs in one rng.philox_keys pass, and every node's rate
+jitter (its jitter stream's first uniform) in one rng.philox_random pass;
+each node then only re-keys the run's one generator for its packet and
+server streams and draws.  The tick evaluates the channel and the
+handshake once on those draws concatenated in (node, packet) order and
+admits the tick's delivered packets to the server in one call, in arrival
+order.  Its records are columns (PacketColumns: one array per
 field), and a run concatenates the ticks column by column.
 
 A run returns its per-packet columns and nothing else; reporting owns
@@ -30,10 +32,16 @@ running mean latency that compare_fading tabulates per fading kind.
 
 Determinism: every random quantity comes from a substream keyed by
 (domain, node, tick), so runs are bit-reproducible and adding a node
-never perturbs existing nodes' draws.  Leg outcomes use inverse-CDF
-geometric draws (one uniform per leg), which keeps draw alignment across
-fading kinds in comparison runs: the same seed gives every kind the same
-uniforms, coupling the runs for low-variance ordering.
+never perturbs existing nodes' draws.  A packet stream draws the send
+times, then the channel normals, then the leg uniforms.  Leg outcomes use
+inverse-CDF geometric draws (one uniform per leg), which keeps draw
+alignment across fading kinds in comparison runs: on a lossy channel
+every kind draws the normals, awgn included though it does not read them,
+so the same seed gives every kind the same uniforms, coupling the runs
+for low-variance ordering.  On a lossless channel (fading "none", or no
+SNR threshold) no leg can fail, and the tick draws neither the normals
+nor the leg uniforms: they come last in the stream, so every draw it does
+make is the one a lossy run of the same seed makes.
 
 Only per_packet_error_probability imports scipy (scipy.special.expit), so
 a run on an ideal or lossless channel never loads it.
@@ -58,6 +66,7 @@ from .rng import (
     DOMAIN_SERVER,
     RekeyableGenerator,
     philox_keys,
+    philox_random,
 )
 from .rtt_model import HopConfig, compute_rtt
 
@@ -291,21 +300,18 @@ def make_state(config: SimulationConfig) -> SimulationState:
 
 
 def _leg_success_prob(config: SimulationConfig, z: np.ndarray) -> np.ndarray:
-    """Per-packet leg success probability from the channel draw.
+    """Per-packet leg success probability from the channel draw, on a lossy
+    channel: a fading kind other than "none" and an SNR threshold.
 
-    z is the packet's pair of standard normal quadrature draws; kinds that
-    do not use them still consume them, keeping comparison runs aligned.
+    z is the packet's pair of standard normal quadrature draws.  awgn does
+    not read them; run_tick still draws them, so the leg uniforms after
+    them stay aligned across fading kinds.
     """
-    n = z.shape[1]
-    if config.fading == "none":
-        return np.ones(n)
     if config.fading == "awgn":
-        snr = np.full(n, 1.0 / config.fading_params.n0)
+        snr = np.full(z.shape[1], 1.0 / config.fading_params.n0)
     else:  # rayleigh, rician
         h = channel_gain(config.fading_params, z)
         snr = (h.real**2 + h.imag**2) / config.noise_n0
-    if config.snr_threshold_db is None:
-        return np.ones(n)
     return 1.0 - per_packet_error_probability(snr, config.snr_threshold_db)
 
 
@@ -332,28 +338,39 @@ def run_tick(state: SimulationState, t: int) -> PacketColumns:
     if cfg.rate_jitter:
         domains.append(DOMAIN_RATE_JITTER)
     spawn = np.broadcast_arrays(np.array(domains)[:, None], np.arange(1, cfg.node_count + 1), t)
-    keys = philox_keys(cfg.seed, np.stack(spawn, axis=-1)).tolist()
+    keys = philox_keys(cfg.seed, np.stack(spawn, axis=-1))
+    n_pkts = [base] * cfg.node_count
+    if cfg.rate_jitter:
+        # each node's jitter is its stream's first uniform, for all nodes in
+        # one pass; rint rounds half to even, as round does
+        lo, hi = RATE_JITTER_SPAN
+        jittered = float(base) * (lo + (hi - lo) * philox_random(keys[2]))
+        n_pkts = np.rint(jittered).astype(np.int64).tolist()
 
-    # each node draws from its own substreams; the tick evaluates them at once
-    lo, hi = RATE_JITTER_SPAN
+    # each node draws from its own substreams; the tick evaluates them at
+    # once.  Without a fading kind and a threshold no leg can fail, and the
+    # tick skips the channel normals and leg uniforms: they are the last
+    # draws of the packet stream, so no other draw moves.
+    lossy = cfg.fading != "none" and cfg.snr_threshold_db is not None
     mean_service = 1.0 / cfg.server_mu()
     u_send, z, leg_u, service = [], [], [], []
-    for packet_key, server_key, *jitter_key in zip(*keys):
-        n_pkts = base
-        if jitter_key:
-            u = state.rng.rekey(jitter_key[0]).random()
-            n_pkts = int(round(base * (lo + (hi - lo) * u)))
+    for packet_key, server_key, n in zip(keys[0].tolist(), keys[1].tolist(), n_pkts):
         gen = state.rng.rekey(packet_key)
-        u_send.append(gen.random(n_pkts))
-        z.append(gen.standard_normal((2, n_pkts)))
-        leg_u.append(gen.random((leg_rows, n_pkts)))
-        service.append(state.rng.rekey(server_key).exponential(mean_service, n_pkts))
+        u_send.append(gen.random(n))
+        if lossy:
+            z.append(gen.standard_normal((2, n)))
+            leg_u.append(gen.random((leg_rows, n)))
+        service.append(state.rng.rekey(server_key).exponential(mean_service, n))
 
-    p_leg = _leg_success_prob(cfg, np.concatenate(z, axis=1))
-    delivered, legs = handshake_legs(
-        cfg.qos_level, p_leg, np.concatenate(leg_u, axis=1), cfg.max_retries_per_leg
-    )
     send = tick_start + np.concatenate(u_send) * span
+    if lossy:
+        p_leg = _leg_success_prob(cfg, np.concatenate(z, axis=1))
+        delivered, legs = handshake_legs(
+            cfg.qos_level, p_leg, np.concatenate(leg_u, axis=1), cfg.max_retries_per_leg
+        )
+    else:  # what handshake_legs returns at p = 1: every packet in the fewest legs
+        delivered = np.ones(len(send), dtype=bool)
+        legs = np.full(len(send), cfg.min_legs(), dtype=np.int64)
     arrival = send + legs * cfg.one_way_s()
 
     # exact FIFO at the server: admit in arrival order; the stable sort keeps
@@ -394,9 +411,10 @@ def compare_fading(
     column.
 
     All kinds run from the same seed, so they share per-packet draws
-    (send jitter, channel normals, leg uniforms, service times); the
-    columns differ only through each kind's channel, which makes the
-    comparison nearly paired rather than independent.
+    (send jitter and service times, and the channel normals and leg
+    uniforms on every lossy kind); the columns differ only through each
+    kind's channel, which makes the comparison nearly paired rather than
+    independent.
     """
     if not kinds:
         raise InvalidConfigError("kinds must be nonempty")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from iiot_netsim.channel_models import RayleighParams, channel_gain
 from iiot_netsim.errors import DomainError, InvalidParameterError
 from iiot_netsim.qos_state_machine import (
+    MIN_LEGS,
     QoSChainParams,
     handshake_legs,
     handshake_rows,
@@ -200,6 +201,22 @@ def test_qos2_delegates():
 def test_qos_level_guard():
     with pytest.raises(InvalidParameterError):
         handshake_rows(3, 8)
+
+
+@pytest.mark.parametrize("retries", range(9))
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_sure_legs_complete_in_the_fewest_legs(level, retries):
+    # run_tick skips handshake_legs on a lossless channel and takes this
+    # result: at p = 1 every uniform, 0 and the largest below 1 included,
+    # delivers in MIN_LEGS legs (at QoS 2, log1p(-u) / -inf is a zero)
+    edges = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+    u = np.concatenate([edges, stream("sure", level, retries).gen.random(60)])
+    rows = handshake_rows(level, retries)
+    leg_u = np.stack([np.roll(u, shift) for shift in range(rows)])
+    delivered, legs = handshake_legs(level, np.ones(len(u)), leg_u, retries)
+    assert delivered.dtype == bool and delivered.all()
+    assert legs.dtype == np.int64
+    np.testing.assert_array_equal(legs, np.full(len(u), MIN_LEGS[level]))
 
 
 @settings(max_examples=60)

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from iiot_netsim import cli
 from iiot_netsim.errors import InvalidConfigError, InvalidParameterError
-from iiot_netsim.rng import RekeyableGenerator, RngStream, philox_keys
+from iiot_netsim.rng import (
+    RekeyableGenerator,
+    RngStream,
+    _mulhilo,
+    _philox_block,
+    philox_keys,
+    philox_random,
+)
 
 SHIPPED_SIMULATE = resources.files("iiot_netsim") / "configs" / "default_simulate.json"
 
@@ -189,3 +196,44 @@ def test_stream_draws_match_seed_sequence(seed, stream_id):
     want = reference_gen(seed, stream.stream_id)
     np.testing.assert_array_equal(stream.gen.random(8), want.random(8))
     np.testing.assert_array_equal(stream.gen.standard_normal(3), want.standard_normal(3))
+
+
+# The numpy Philox4x64-10 core gives run_tick every node's rate jitter in one
+# pass; these pin it to numpy's Philox, the generator each draw replaces.
+WORD = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=WORD, b=WORD)
+@example(a=2**64 - 1, b=2**64 - 1)
+@example(a=2**32 - 1, b=0xD2E7470EE14C6C93)  # the low halves' sum carries into the high word
+def test_mulhilo_is_the_128_bit_product(a, b):
+    hi, lo = _mulhilo(np.array([a], dtype=np.uint64), np.array([b], dtype=np.uint64))
+    assert (int(hi[0]), int(lo[0])) == (a * b >> 64, a * b & (2**64 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=st.lists(st.tuples(WORD, WORD), min_size=1, max_size=6))
+@example(keys=[(0, 0)])
+@example(keys=[(2**64 - 1, 2**64 - 1)])
+# the second round multiplies the key words themselves, and (2**32 - 1) times
+# the first round multiplier carries out of the low 32-bit halves
+@example(keys=[(2**32 - 1, 2**32 - 1)])
+def test_philox_core_matches_numpy_philox(keys):
+    array = np.array(keys, dtype=np.uint64)
+    blocks, uniforms = _philox_block(array), philox_random(array)
+    assert blocks.shape == (len(keys), 4) and uniforms.shape == (len(keys),)
+    for key, block, u in zip(array, blocks, uniforms):
+        np.testing.assert_array_equal(block, np.random.Philox(key=key).random_raw(4))
+        assert u == np.random.Generator(np.random.Philox(key=key)).random()
+
+
+def test_philox_random_follows_the_key_batch_shape():
+    spawn = np.broadcast_arrays(np.array([1, 3])[:, None], np.arange(1, 4), 9)
+    keys = philox_keys(401, np.stack(spawn, axis=-1))
+    u = philox_random(keys)
+    assert u.shape == (2, 3) and u.dtype == np.float64
+    assert u[1, 2] == RngStream(401, (3, 3, 9)).gen.random()
+    assert philox_random(np.zeros((0, 2), dtype=np.uint64)).shape == (0,)

@@ -11,12 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iiot_netsim import sim_engine
 from iiot_netsim.channel_models import AwgnParams, RayleighParams, RicianParams, channel_gain
 from iiot_netsim.errors import InstabilityError, InvalidConfigError, InvalidParameterError
-from iiot_netsim.reporting import summarize_rtt, windowed_series
-from iiot_netsim.rng import RngStream
+from iiot_netsim.qos_state_machine import handshake_legs, handshake_rows
+from iiot_netsim.reporting import mean_latency_so_far, summarize_rtt, windowed_series
+from iiot_netsim.rng import (
+    DOMAIN_PACKET,
+    DOMAIN_RATE_JITTER,
+    DOMAIN_SERVER,
+    RekeyableGenerator,
+    RngStream,
+    philox_keys,
+)
 from iiot_netsim.rtt_model import HopConfig
 from iiot_netsim.sim_engine import (
+    RATE_JITTER_SPAN,
     CentralServer,
     FadingSpec,
     PacketColumns,
@@ -274,6 +284,192 @@ class TestRunTick:
         assert [cfg.rate_at_tick(t) for t in (1, 2, 5)] == [100, 110, 140]
         state = make_state(cfg)
         assert len(run_tick(state, 2)) == 110
+
+
+DOMAINS = (DOMAIN_PACKET, DOMAIN_SERVER, DOMAIN_RATE_JITTER)
+
+
+def ref_run_tick(state, t, jitter_u=None) -> PacketColumns:
+    """run_tick as a plain per-node loop: every node re-keys a stream for its
+    jitter, its packets and its server, draws send times, channel normals
+    and leg uniforms whatever the channel, and the handshake always runs.
+    jitter_u, if given, stands in for the jitter streams' uniforms."""
+    cfg = state.config
+    tick_start = (t - 1) * cfg.tick_s
+    span = cfg.tick_s - cfg.handshake_guard_s()
+    leg_rows = handshake_rows(cfg.qos_level, cfg.max_retries_per_leg)
+    base = cfg.rate_at_tick(t)
+    lo, hi = RATE_JITTER_SPAN
+    mean_service = 1.0 / cfg.server_mu()
+    u_send, z, leg_u, service = [], [], [], []
+    for node in range(1, cfg.node_count + 1):
+        key = {d: philox_keys(cfg.seed, [[d, node, t]])[0] for d in DOMAINS}
+        n_pkts = base
+        if cfg.rate_jitter:
+            u = state.rng.rekey(key[DOMAIN_RATE_JITTER]).random()
+            if jitter_u is not None:
+                u = jitter_u[node - 1]
+            n_pkts = int(round(base * (lo + (hi - lo) * u)))
+        gen = state.rng.rekey(key[DOMAIN_PACKET])
+        u_send.append(gen.random(n_pkts))
+        z.append(gen.standard_normal((2, n_pkts)))
+        leg_u.append(gen.random((leg_rows, n_pkts)))
+        service.append(state.rng.rekey(key[DOMAIN_SERVER]).exponential(mean_service, n_pkts))
+
+    z = np.concatenate(z, axis=1)
+    p_leg = np.ones(z.shape[1])
+    if cfg.fading != "none" and cfg.snr_threshold_db is not None:
+        p_leg = _leg_success_prob(cfg, z)
+    delivered, legs = handshake_legs(
+        cfg.qos_level, p_leg, np.concatenate(leg_u, axis=1), cfg.max_retries_per_leg
+    )
+    send = tick_start + np.concatenate(u_send) * span
+    arrival = send + legs * cfg.one_way_s()
+    queued = np.flatnonzero(delivered)
+    queued = queued[np.argsort(arrival[queued], kind="stable")]
+    arrived = arrival[queued]
+    waits = state.server.admit(arrived.tolist(), np.concatenate(service)[queued].tolist())
+    latency = np.full(len(send), math.nan)
+    latency[queued] = (arrived - send[queued]) + waits
+    return PacketColumns(np.full(len(send), tick_start), send, legs, delivered, latency)
+
+
+CHANNELS = [
+    FadingSpec("none", "none"),
+    FadingSpec("awgn", "awgn", AwgnParams(n0=1.0)),
+    FadingSpec("rayleigh", "rayleigh", RayleighParams(sigma=1.0), noise_n0=1.0),
+    FadingSpec("rician", "rician", RicianParams(amplitude=1.0, sigma=0.7), noise_n0=1.0),
+]
+
+
+def with_channel(cfg: SimulationConfig, spec: FadingSpec) -> SimulationConfig:
+    noise_n0 = cfg.noise_n0 if spec.noise_n0 is None else spec.noise_n0
+    return replace(cfg, fading=spec.fading, fading_params=spec.fading_params, noise_n0=noise_n0)
+
+
+@st.composite
+def tick_configs(draw) -> SimulationConfig:
+    """Small runs over every QoS level, jitter and growth setting and
+    channel; 0-6 packets per node, with or without an SNR threshold."""
+    cfg = make_config(
+        node_count=draw(st.integers(1, 4)),
+        duration_s=float(draw(st.integers(1, 3))),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        qos_level=draw(st.sampled_from([0, 1, 2])),
+        packets_per_node_per_tick=draw(st.integers(0, 6)),
+        max_retries_per_leg=draw(st.integers(0, 3)),
+        rate_jitter=draw(st.booleans()),
+        rate_growth_per_tick=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        snr_threshold_db=draw(st.sampled_from([None, -3.0, 0.0, 4.0])),
+    )
+    return with_channel(cfg, draw(st.sampled_from(CHANNELS)))
+
+
+class TestTickMatchesPerNodeReference:
+    """Bit-identity: run_tick skips the draws a lossless channel never reads
+    and takes every node's jitter from one batched pass, and still returns,
+    column for column, what the plain per-node loop returns."""
+
+    @given(cfg=tick_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_every_tick_equals_the_reference(self, cfg):
+        state, ref = make_state(cfg), make_state(cfg)
+        for t in range(1, cfg.n_ticks() + 1):
+            assert same_columns(run_tick(state, t), ref_run_tick(ref, t))
+        assert state.server.free_at == ref.server.free_at
+
+    @pytest.mark.parametrize("threshold", [None, -10.0])
+    def test_compare_fading_equals_the_reference(self, threshold):
+        base = make_config(
+            node_count=4,
+            duration_s=4.0,
+            packets_per_node_per_tick=5,
+            rate_jitter=True,
+            rate_growth_per_tick=0.5,
+            snr_threshold_db=threshold,
+            max_retries_per_leg=2,
+        )
+        times = [0.5, 2.0, 3.5, 4.0]
+        want = []
+        for spec in CHANNELS:
+            ref = make_state(with_channel(base, spec))
+            ticks = [ref_run_tick(ref, t) for t in range(1, base.n_ticks() + 1)]
+            want.append(mean_latency_so_far(PacketColumns.concat(ticks), times))
+        got = compare_fading(base, CHANNELS, times)
+        assert np.array_equal(got, np.array(want, dtype=float).T, equal_nan=True)
+
+    def test_jitter_on_a_half_rounds_to_even(self, monkeypatch):
+        # base 5 spans [4, 6); these uniforms put the product exactly on 4.5 and
+        # 5.5, which round (and rint) take to 4 and 6
+        lo, hi = RATE_JITTER_SPAN
+        u = [0.25, 0.7500000000000003]
+        assert [5.0 * (lo + (hi - lo) * x) for x in u] == [4.5, 5.5]
+        monkeypatch.setattr(sim_engine, "philox_random", lambda keys: np.array(u))
+        cfg = make_config(node_count=2, packets_per_node_per_tick=5, rate_jitter=True)
+        got = run_tick(make_state(cfg), 1)
+        assert len(got) == 4 + 6
+        assert same_columns(got, ref_run_tick(make_state(cfg), 1, jitter_u=u))
+
+
+class _RecordingGenerator:
+    """A generator that notes the name of every draw made on it."""
+
+    def __init__(self, gen, draws: list):
+        self._gen, self._draws = gen, draws
+
+    def __getattr__(self, name):
+        self._draws.append(name)
+        return getattr(self._gen, name)
+
+
+class CountingRekeyableGenerator(RekeyableGenerator):
+    """Records, per rekey, the draws made on the stream it keyed."""
+
+    def __init__(self):
+        super().__init__()
+        self.streams: list[list[str]] = []
+
+    def rekey(self, key):
+        self.streams.append([])
+        return _RecordingGenerator(super().rekey(key), self.streams[-1])
+
+
+class TestDrawsPerNode:
+    """A lossless tick draws only what it reads; a lossy one still draws the
+    channel normals and the leg uniforms of every node."""
+
+    NODES = 40
+
+    def streams(self, **overrides) -> list[list[str]]:
+        cfg = make_config(node_count=self.NODES, packets_per_node_per_tick=3, **overrides)
+        state = make_state(cfg)
+        state.rng = CountingRekeyableGenerator()
+        assert len(run_tick(state, 1)) > 0
+        return state.rng.streams
+
+    @pytest.mark.parametrize("spec", CHANNELS, ids=lambda s: s.label)
+    def test_lossless_jittered_tick_rekeys_twice_per_node(self, spec):
+        # "none" is lossless even with a threshold; the other kinds without one
+        threshold = 0.0 if spec.fading == "none" else None
+        streams = self.streams(
+            rate_jitter=True,
+            fading=spec.fading,
+            fading_params=spec.fading_params,
+            snr_threshold_db=threshold,
+        )
+        assert len(streams) == 2 * self.NODES
+        assert streams == [["random"], ["exponential"]] * self.NODES
+
+    @pytest.mark.parametrize("spec", CHANNELS[1:], ids=lambda s: s.label)
+    def test_lossy_tick_draws_normals_and_leg_uniforms(self, spec):
+        streams = self.streams(
+            rate_jitter=True,
+            fading=spec.fading,
+            fading_params=spec.fading_params,
+            snr_threshold_db=0.0,
+        )
+        packet = ["random", "standard_normal", "random"]
+        assert streams == [packet, ["exponential"]] * self.NODES
 
 
 class TestConservationAndInvariants:
