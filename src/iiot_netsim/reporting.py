@@ -81,7 +81,10 @@ def mean_latency_so_far(records, times) -> list[float | None]:
     """
     sends = records.send_time_s[records.delivered]
     lats = records.latency_s[records.delivered]
-    order = np.lexsort((lats, sends))
+    # numpy orders complex numbers by real part, then imaginary part: one
+    # argsort on sends + i*lats is the (send, latency) order, faster than
+    # lexsort; rows that tie on both keys hold equal latencies
+    order = np.argsort(sends + 1j * lats)
     lats = lats[order].tolist()
     out = []
     for k in np.searchsorted(sends[order], times, side="right").tolist():

@@ -16,15 +16,20 @@ where one_way is the deterministic per-leg delay implied by the base hop
 (propagation + transmission + processing + static queueing) and the
 server wait is the dynamic, transient part that builds up under load.
 
-Per tick, run_tick derives the Philox key of every (domain, node, tick)
-substream it needs in one rng.philox_keys pass, and every node's rate
-jitter (its jitter stream's first uniform) in one rng.philox_random pass;
-each node then only re-keys the run's one generator for its packet and
-server streams and draws.  The tick evaluates the channel and the
-handshake once on those draws concatenated in (node, packet) order and
-admits the tick's delivered packets to the server in one call, in arrival
-order.  Its records are columns (PacketColumns: one array per
-field), and a run concatenates the ticks column by column.
+Per tick, run_tick draws, then resolves.  The draw step derives the
+Philox key of every (domain, node, tick) substream it needs in one
+rng.philox_keys pass, and every node's rate jitter (its jitter stream's
+first uniform) in one rng.philox_random pass; each node then only re-keys
+the run's one generator for its packet and server streams and draws.
+The resolve step evaluates the channel and the handshake once on those
+draws concatenated in (node, packet) order and admits the tick's
+delivered packets to the server in one call, in arrival order.  Its
+records are columns (PacketColumns: one array per field), and a run
+concatenates the ticks column by column.
+
+The draws do not depend on the fading kind, so compare_fading draws each
+tick once and resolves it once per kind: every kind runs run_simulation
+on those shared draws with its own server.
 
 A run returns its per-packet columns and nothing else; reporting owns
 every summary of them (summarize_rtt, windowed_series), including the
@@ -35,13 +40,14 @@ Determinism: every random quantity comes from a substream keyed by
 never perturbs existing nodes' draws.  A packet stream draws the send
 times, then the channel normals, then the leg uniforms.  Leg outcomes use
 inverse-CDF geometric draws (one uniform per leg), which keeps draw
-alignment across fading kinds in comparison runs: on a lossy channel
-every kind draws the normals, awgn included though it does not read them,
-so the same seed gives every kind the same uniforms, coupling the runs
-for low-variance ordering.  On a lossless channel (fading "none", or no
-SNR threshold) no leg can fail, and the tick draws neither the normals
-nor the leg uniforms: they come last in the stream, so every draw it does
-make is the one a lossy run of the same seed makes.
+alignment across fading kinds: on a lossy channel every kind draws the
+normals, awgn included though it does not read them, so the same seed
+gives every kind the same uniforms, coupling the runs for low-variance
+ordering.  On a lossless channel (fading "none", or no SNR threshold) no
+leg can fail, and the tick draws neither the normals nor the leg
+uniforms: they come last in the stream, so every draw it does make is
+the one a lossy run of the same seed makes, and a lossless kind can
+resolve a lossy draw.
 
 Only per_packet_error_probability imports scipy (scipy.special.expit), so
 a run on an ideal or lossless channel never loads it.
@@ -50,7 +56,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -184,6 +191,12 @@ class SimulationConfig:
 
     def one_way_s(self) -> float:
         """Deterministic per-leg delay implied by the base hop."""
+        return self._one_way_s
+
+    @cached_property
+    def _one_way_s(self) -> float:
+        # once per config: validation and every tick read it; not a field,
+        # so equality, hashing and replace() see only the fields
         return compute_rtt([self.base_hop]).one_way()
 
     def server_mu(self) -> float:
@@ -304,7 +317,7 @@ def _leg_success_prob(config: SimulationConfig, z: np.ndarray) -> np.ndarray:
     channel: a fading kind other than "none" and an SNR threshold.
 
     z is the packet's pair of standard normal quadrature draws.  awgn does
-    not read them; run_tick still draws them, so the leg uniforms after
+    not read them; the tick still draws them, so the leg uniforms after
     them stay aligned across fading kinds.
     """
     if config.fading == "awgn":
@@ -315,23 +328,51 @@ def _leg_success_prob(config: SimulationConfig, z: np.ndarray) -> np.ndarray:
     return 1.0 - per_packet_error_probability(snr, config.snr_threshold_db)
 
 
-def run_tick(state: SimulationState, t: int) -> PacketColumns:
-    """Advance one tick; returns the packets sent in it, in (node, packet)
-    order.
+def _lossy(config: SimulationConfig) -> bool:
+    """Whether a leg can fail: a fading kind other than "none" and an SNR threshold."""
+    return config.fading != "none" and config.snr_threshold_db is not None
 
-    Sends are jittered inside [tick_start, tick_end - guard], so every
-    handshake finishes before the tick ends and server FIFO order across
-    ticks is exact.
+
+class _TickDraws(NamedTuple):
+    """Every random draw of one tick, concatenated in (node, packet) order.
+
+    z (the channel normals, 2 x packets) and leg_u (the leg uniforms,
+    handshake_rows x packets) are None in a lossless draw.
     """
-    cfg = state.config
-    if not 1 <= t <= cfg.n_ticks():
-        raise InvalidParameterError(f"tick {t} outside 1..{cfg.n_ticks()}")
+
+    tick_start: float
+    send: np.ndarray
+    z: np.ndarray | None
+    leg_u: np.ndarray | None
+    service: np.ndarray
+
+
+class _RunDraws(NamedTuple):
+    """A run's draws, tick by tick, for every config that shares its traffic."""
+
+    config: SimulationConfig  # the config they were drawn for
+    lossy: bool  # whether they hold z and leg_u
+    ticks: list[_TickDraws]
+
+
+# the fields a config may change and still read another config's draws
+_CHANNEL_FIELDS = frozenset({"fading", "fading_params", "noise_n0"})
+_NO_DRAWS = np.empty(0)
+
+
+def _draw_tick(
+    cfg: SimulationConfig, rng: RekeyableGenerator, t: int, lossy: bool
+) -> _TickDraws:
+    """Draw tick t: send times and service times, plus the channel normals
+    and leg uniforms when lossy.
+
+    The fading kind is not read, so every config with cfg's traffic can
+    resolve these draws.
+    """
     tick_start = (t - 1) * cfg.tick_s
-    span = cfg.tick_s - cfg.handshake_guard_s()
-    leg_rows = handshake_rows(cfg.qos_level, cfg.max_retries_per_leg)
     base = cfg.rate_at_tick(t)
     if base == 0:
-        return _NO_PACKETS
+        return _TickDraws(tick_start, _NO_DRAWS, None, None, _NO_DRAWS)
 
     # one key pass: keys[d][i] is the key of substream (domains[d], node i + 1, t)
     domains = [DOMAIN_PACKET, DOMAIN_SERVER]
@@ -347,27 +388,42 @@ def run_tick(state: SimulationState, t: int) -> PacketColumns:
         jittered = float(base) * (lo + (hi - lo) * philox_random(keys[2]))
         n_pkts = np.rint(jittered).astype(np.int64).tolist()
 
-    # each node draws from its own substreams; the tick evaluates them at
-    # once.  Without a fading kind and a threshold no leg can fail, and the
-    # tick skips the channel normals and leg uniforms: they are the last
-    # draws of the packet stream, so no other draw moves.
-    lossy = cfg.fading != "none" and cfg.snr_threshold_db is not None
+    # each node draws from its own substreams.  A lossless draw skips the
+    # channel normals and leg uniforms: they are the last draws of the
+    # packet stream, so no other draw moves.
+    leg_rows = handshake_rows(cfg.qos_level, cfg.max_retries_per_leg)
     mean_service = 1.0 / cfg.server_mu()
     u_send, z, leg_u, service = [], [], [], []
     for packet_key, server_key, n in zip(keys[0].tolist(), keys[1].tolist(), n_pkts):
-        gen = state.rng.rekey(packet_key)
+        gen = rng.rekey(packet_key)
         u_send.append(gen.random(n))
         if lossy:
             z.append(gen.standard_normal((2, n)))
             leg_u.append(gen.random((leg_rows, n)))
-        service.append(state.rng.rekey(server_key).exponential(mean_service, n))
+        service.append(rng.rekey(server_key).exponential(mean_service, n))
 
-    send = tick_start + np.concatenate(u_send) * span
+    send = tick_start + np.concatenate(u_send) * (cfg.tick_s - cfg.handshake_guard_s())
     if lossy:
-        p_leg = _leg_success_prob(cfg, np.concatenate(z, axis=1))
-        delivered, legs = handshake_legs(
-            cfg.qos_level, p_leg, np.concatenate(leg_u, axis=1), cfg.max_retries_per_leg
-        )
+        z, leg_u = np.concatenate(z, axis=1), np.concatenate(leg_u, axis=1)
+    else:
+        z = leg_u = None
+    return _TickDraws(tick_start, send, z, leg_u, np.concatenate(service))
+
+
+def _resolve_tick(
+    cfg: SimulationConfig, server: CentralServer, draws: _TickDraws
+) -> PacketColumns:
+    """One tick's packets on cfg's channel, queued at server, from its draws.
+
+    Reads the draws and writes none of them, so several configs can
+    resolve the same draws in turn.
+    """
+    tick_start, send, z, leg_u, service = draws
+    if not len(send):  # a tick at rate 0
+        return _NO_PACKETS
+    if _lossy(cfg):
+        p_leg = _leg_success_prob(cfg, z)
+        delivered, legs = handshake_legs(cfg.qos_level, p_leg, leg_u, cfg.max_retries_per_leg)
     else:  # what handshake_legs returns at p = 1: every packet in the fewest legs
         delivered = np.ones(len(send), dtype=bool)
         legs = np.full(len(send), cfg.min_legs(), dtype=np.int64)
@@ -378,16 +434,69 @@ def run_tick(state: SimulationState, t: int) -> PacketColumns:
     queued = np.flatnonzero(delivered)
     queued = queued[np.argsort(arrival[queued], kind="stable")]
     arrived = arrival[queued]
-    waits = state.server.admit(arrived.tolist(), np.concatenate(service)[queued].tolist())
+    waits = server.admit(arrived.tolist(), service[queued].tolist())
     latency = np.full(len(send), math.nan)
     latency[queued] = (arrived - send[queued]) + waits
     return PacketColumns(np.full(len(send), tick_start), send, legs, delivered, latency)
 
 
-def run_simulation(config: SimulationConfig) -> SimulationResult:
-    """Run every tick."""
+def run_tick(
+    state: SimulationState, t: int, *, draws: _TickDraws | None = None
+) -> PacketColumns:
+    """Advance one tick; returns the packets sent in it, in (node, packet)
+    order.
+
+    Sends are jittered inside [tick_start, tick_end - guard], so every
+    handshake finishes before the tick ends and server FIFO order across
+    ticks is exact.  draws, keyword-only, are tick t's draws as
+    run_simulation passes them on; without them the tick draws its own
+    from state.rng.
+    """
+    cfg = state.config
+    if not 1 <= t <= cfg.n_ticks():
+        raise InvalidParameterError(f"tick {t} outside 1..{cfg.n_ticks()}")
+    if draws is None:
+        draws = _draw_tick(cfg, state.rng, t, _lossy(cfg))
+    return _resolve_tick(cfg, state.server, draws)
+
+
+def _draw_run(config: SimulationConfig, lossy: bool) -> _RunDraws:
+    """Every tick's draws of config's traffic, from one generator."""
+    rng = make_state(config).rng  # refuses an overloaded run before drawing it
+    ticks = [_draw_tick(config, rng, t, lossy) for t in range(1, config.n_ticks() + 1)]
+    return _RunDraws(config, lossy, ticks)
+
+
+def _check_draws(config: SimulationConfig, draws: _RunDraws) -> None:
+    drawn = draws.config
+    other = [
+        f.name
+        for f in fields(SimulationConfig)
+        if f.name not in _CHANNEL_FIELDS and getattr(drawn, f.name) != getattr(config, f.name)
+    ]
+    if other:
+        raise InvalidParameterError(f"draws of other traffic: {', '.join(other)} differ")
+    if _lossy(config) and not draws.lossy:
+        raise InvalidParameterError(
+            "a lossy config needs lossy draws (channel normals and leg uniforms)"
+        )
+
+
+def run_simulation(
+    config: SimulationConfig, *, draws: _RunDraws | None = None
+) -> SimulationResult:
+    """Run every tick.
+
+    draws, keyword-only, are a run's draws shared by configs that differ
+    only in fading, fading_params and noise_n0; compare_fading makes them
+    once for all its kinds.  Draws of other traffic, or lossless draws
+    given to a lossy config, raise InvalidParameterError.
+    """
+    if draws is not None:
+        _check_draws(config, draws)
     state = make_state(config)
-    ticks = [run_tick(state, t) for t in range(1, config.n_ticks() + 1)]
+    per_tick = [None] * config.n_ticks() if draws is None else draws.ticks
+    ticks = [run_tick(state, t, draws=d) for t, d in enumerate(per_tick, 1)]
     return SimulationResult(records=PacketColumns.concat(ticks))
 
 
@@ -410,11 +519,14 @@ def compare_fading(
     kind was delivered yet; reporting.mean_latency_so_far computes each
     column.
 
-    All kinds run from the same seed, so they share per-packet draws
-    (send jitter and service times, and the channel normals and leg
-    uniforms on every lossy kind); the columns differ only through each
-    kind's channel, which makes the comparison nearly paired rather than
-    independent.
+    All kinds share one set of draws, made once per tick: send times and
+    service times, plus the channel normals and leg uniforms when any kind
+    is lossy (a lossless kind does not read them).  Each kind resolves
+    them with its own channel and its own server through
+    run_simulation(..., draws=), so its column equals that of its own
+    run_simulation from the same seed; the columns differ only through
+    each kind's channel, which makes the comparison paired (common random
+    numbers) rather than independent.
     """
     if not kinds:
         raise InvalidConfigError("kinds must be nonempty")
@@ -431,13 +543,18 @@ def compare_fading(
                 f"sample time {t} outside (0, {base.duration_s}]"
             )
 
-    columns = []
-    for spec in kinds:
-        cfg = replace(
+    configs = [
+        replace(
             base,
             fading=spec.fading,
             fading_params=spec.fading_params,
             noise_n0=spec.noise_n0 if spec.noise_n0 is not None else base.noise_n0,
         )
-        columns.append(mean_latency_so_far(run_simulation(cfg).records, sample_times))
+        for spec in kinds
+    ]
+    draws = _draw_run(base, lossy=any(_lossy(cfg) for cfg in configs))
+    columns = [
+        mean_latency_so_far(run_simulation(cfg, draws=draws).records, sample_times)
+        for cfg in configs
+    ]
     return np.array(columns, dtype=float).T  # an idle cell's None becomes NaN

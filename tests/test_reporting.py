@@ -169,6 +169,21 @@ class TestMeanLatencySoFar:
         assert mean_latency_so_far(cols(recs), [1.0]) == [recs[0].latency_s * 1e3]
 
 
+    def test_equal_sends_sum_in_latency_order(self):
+        # at one send time the float sum depends on the order of the
+        # latencies: 1.0 + 1e-16 + 1e-16 rounds to 1.0, 2e-16 + 1.0 does not
+        tie = [1.0, 1e-16, 1e-16]
+        in_order = sorted(tie)
+        assert latency_stats(tie)[1] != latency_stats(in_order)[1]
+        rows = [(0.2, 0.5)] + [(0.1, lat) for lat in tie]
+        recs = [PacketRecord(0.0, send, 1, True, lat) for send, lat in rows]
+        out = mean_latency_so_far(cols(recs), [0.1, 0.2])
+        assert out == [
+            latency_stats(in_order)[1] * 1e3,
+            latency_stats(in_order + [0.5])[1] * 1e3,
+        ]
+
+
 class TestIntervalsCsv:
     def test_header_exact(self):
         assert intervals_to_csv([]).splitlines()[0] == INTERVALS_HEADER

@@ -860,6 +860,114 @@ class TestCompareFading:
             compare_fading(self.base(), dup, [2.0])
 
 
+
+@st.composite
+def kind_sets(draw) -> list[FadingSpec]:
+    """A non-empty subset of CHANNELS in a random order."""
+    return draw(st.lists(st.sampled_from(CHANNELS), min_size=1, unique_by=lambda s: s.label))
+
+
+class CountingRekeys(RekeyableGenerator):
+    """Counts rekeys over every instance."""
+
+    rekeys = 0
+
+    def rekey(self, key):
+        CountingRekeys.rekeys += 1
+        return super().rekey(key)
+
+
+class TestSharedDraws:
+    """compare_fading draws each tick once; every kind reads those draws and
+    gets exactly what its own run_simulation gives."""
+
+    @given(cfg=tick_configs(), kinds=kind_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_columns_equal_standalone_runs_in_any_order(self, cfg, kinds):
+        times = [cfg.duration_s * f for f in (0.3, 0.7, 1.0)]
+        got = compare_fading(cfg, kinds, times)
+        want = [
+            mean_latency_so_far(run_simulation(with_channel(cfg, k)).records, times)
+            for k in kinds
+        ]
+        assert np.array_equal(got, np.array(want, dtype=float).T, equal_nan=True)
+        # a resolve step that wrote to the shared draws would move later columns
+        flipped = compare_fading(cfg, kinds[::-1], times)
+        assert np.array_equal(flipped, got[:, ::-1], equal_nan=True)
+
+    @pytest.mark.parametrize("n_kinds", [1, 2, 4])
+    @pytest.mark.parametrize("threshold", [None, 0.0])
+    def test_rekeys_do_not_grow_with_kinds(self, monkeypatch, n_kinds, threshold):
+        monkeypatch.setattr(sim_engine, "RekeyableGenerator", CountingRekeys)
+        monkeypatch.setattr(CountingRekeys, "rekeys", 0)
+        cfg = make_config(
+            node_count=5, duration_s=3.0, rate_jitter=True, snr_threshold_db=threshold
+        )
+        compare_fading(cfg, CHANNELS[:n_kinds], [3.0])
+        assert CountingRekeys.rekeys == 2 * cfg.node_count * cfg.n_ticks()
+
+    LOSSY = dict(snr_threshold_db=0.0, rate_jitter=True, max_retries_per_leg=2)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(seed=SEED + 1),
+            dict(node_count=4),
+            dict(duration_s=4.0),
+            dict(qos_level=1),
+            dict(packets_per_node_per_tick=21),
+            dict(max_retries_per_leg=3),
+            dict(rate_jitter=False),
+            dict(rate_growth_per_tick=0.5),
+            dict(snr_threshold_db=1.0),
+            dict(base_hop=make_hop(proc=0.4e-3)),
+        ],
+        ids=lambda c: next(iter(c)),
+    )
+    def test_refuses_draws_of_other_traffic(self, change):
+        cfg = with_channel(make_config(**self.LOSSY), CHANNELS[2])
+        draws = sim_engine._draw_run(cfg, lossy=True)
+        with pytest.raises(InvalidParameterError, match=next(iter(change))):
+            run_simulation(replace(cfg, **change), draws=draws)
+
+    def test_any_channel_reads_lossy_draws_only_lossy_ones_refuse_lossless(self):
+        cfg = make_config(**self.LOSSY)
+        lossy = sim_engine._draw_run(cfg, lossy=True)
+        lossless = sim_engine._draw_run(cfg, lossy=False)
+        for spec in CHANNELS:
+            kind = replace(with_channel(cfg, spec), noise_n0=3.0)
+            want = run_simulation(kind).records
+            assert same_columns(run_simulation(kind, draws=lossy).records, want)
+            if spec.fading == "none":
+                assert same_columns(run_simulation(kind, draws=lossless).records, want)
+            else:
+                with pytest.raises(InvalidParameterError, match="lossy"):
+                    run_simulation(kind, draws=lossless)
+
+    def test_benchmark_captures_one_result_per_kind(self, tmp_path):
+        # perfbench's model.* statistics read every SimulationResult that
+        # run_simulation returns in an iteration; sharing the draws must
+        # leave them what four standalone runs give
+        from perfbench import run, tracing, workloads
+
+        wl = workloads.generate("fading_compare", 401, tmp_path / "inputs")
+        runner = run.Runner(wl, tmp_path / "outputs")
+        tracer = tracing.Tracer()
+        tracer.capture_results = True
+        tracer.install()
+        try:
+            _seconds, _items, _digest, errors = runner.iteration()
+        finally:
+            tracer.uninstall()
+        assert errors == []
+        kinds = runner.compare_plan.kinds
+        alone = [run_simulation(with_channel(runner.cfg, k)) for k in kinds]
+        assert len(tracer.captured) == len(kinds)
+        for got, want in zip(tracer.captured, alone):
+            assert same_columns(got.records, want.records)
+        assert run.model_stats(tracer.captured, runner.cfg) == run.model_stats(alone, runner.cfg)
+
+
 class TestSpecifiedTrends:
     def test_monotone_degradation_sign_test(self):
         # raising the noise floor must not reduce latency; paired over 30 seeds
