@@ -485,7 +485,7 @@ def cmd_rtt(args) -> int:
     for i, h in enumerate(breakdown.hops, start=1):
         terms = (h.propagation, h.transmission, h.processing, h.queueing, h.retransmission)
         sums = [a + b for a, b in zip(sums, terms)]
-        contrib = 2.0 * sum(terms[:4]) + h.retransmission
+        contrib = 2.0 * (terms[0] + terms[1] + terms[2] + terms[3]) + h.retransmission
         cells = ",".join(_fmt(t * 1e3) for t in terms)
         print(f"{i},{cells},{_fmt(contrib * 1e3)}")
     cells = ",".join(_fmt(t * 1e3) for t in sums)

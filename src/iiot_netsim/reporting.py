@@ -5,11 +5,11 @@ Consumes the struct-of-arrays that sim_engine.run_simulation returns
 attempts, delivered and latency_s, row i describing one packet);
 produces the round-trip summary, fixed-window interval series, and the
 running mean latency behind the fading-comparison table, each summary
-with a CSV mirror.  Latencies are reported in milliseconds, and every
-average goes through latency_stats, on a list taken from the columns:
-Python's sum over the values in row order, because numpy's pairwise
-summation rounds differently.  This is the only module that summarizes
-records; the simulator returns them.
+with a CSV mirror.  Latencies are reported in milliseconds.  Every sum
+of latencies runs left to right in row order (np.cumsum is sequential),
+unlike numpy's pairwise np.sum and CPython 3.12+'s compensated builtin
+sum, so a mean is the same on every supported Python.  This is the only
+module that summarizes records; the simulator returns them.
 """
 from __future__ import annotations
 
@@ -52,21 +52,22 @@ class RttSummary:
 
 
 def latency_stats(values) -> tuple[float | None, float | None, float | None]:
-    """(min, avg, max) of a sequence; all None when it is empty.
+    """(min, avg, max) of a float array or sequence; all None when empty.
 
-    The mean sum/len can round outside [min, max] (three copies of 0.1
-    average to 0.10000000000000002), so it is clamped back into range.
+    avg is the left-to-right sum over the count, clamped into [min, max],
+    which it can round outside (three 0.1s average to 0.10000000000000002).
     """
-    if not values:
+    values = np.asarray(values, dtype=float)
+    if not values.size:
         return None, None, None
-    lo, hi = min(values), max(values)
-    return lo, min(max(sum(values) / len(values), lo), hi), hi
+    lo, hi = float(values.min()), float(values.max())
+    return lo, min(max(float(np.cumsum(values)[-1]) / values.size, lo), hi), hi
 
 
 def summarize_rtt(records) -> RttSummary:
     """Min/max/avg latency over delivered packets; empty input stays empty."""
-    lat = records.latency_s[records.delivered].tolist()
-    if not lat:
+    lat = records.latency_s[records.delivered]
+    if not lat.size:
         return RttSummary(None, None, None, 0)
     lo, avg, hi = latency_stats(lat)
     return RttSummary(min_ms=lo * 1e3, max_ms=hi * 1e3, avg_ms=avg * 1e3, count=len(lat))
@@ -76,8 +77,8 @@ def mean_latency_so_far(records, times) -> list[float | None]:
     """Average latency in ms of the delivered packets sent at or before each
     time; None before the first delivery.
 
-    Deliveries are ordered by (send_time_s, latency_s), and each prefix's
-    mean comes from latency_stats, like summarize_rtt's.
+    Deliveries are ordered by (send_time_s, latency_s); each prefix's mean
+    is the one latency_stats gives for it, as in summarize_rtt.
     """
     sends = records.send_time_s[records.delivered]
     lats = records.latency_s[records.delivered]
@@ -85,12 +86,13 @@ def mean_latency_so_far(records, times) -> list[float | None]:
     # argsort on sends + i*lats is the (send, latency) order, faster than
     # lexsort; rows that tie on both keys hold equal latencies
     order = np.argsort(sends + 1j * lats)
-    lats = lats[order].tolist()
-    out = []
-    for k in np.searchsorted(sends[order], times, side="right").tolist():
-        _lo, avg, _hi = latency_stats(lats[:k])
-        out.append(None if avg is None else avg * 1e3)
-    return out
+    lats = lats[order]
+    # every prefix's mean in one pass, clamped into the prefix's [min, max];
+    # the leading nan stands for the empty prefix
+    avg = np.cumsum(lats) / np.arange(1, lats.size + 1)
+    avg = np.r_[np.nan, np.clip(avg, np.minimum.accumulate(lats), np.maximum.accumulate(lats))]
+    k = np.searchsorted(sends[order], times, side="right")
+    return [m if i else None for i, m in zip(k.tolist(), (avg[k] * 1e3).tolist())]
 
 
 def windowed_series(
@@ -115,7 +117,7 @@ def windowed_series(
     out = []
     for i in range(n_windows):
         rows = slice(edges[i], edges[i + 1])
-        window_lat = lat_ms[rows][delivered[rows]].tolist()
+        window_lat = lat_ms[rows][delivered[rows]]
         lo, avg, hi = latency_stats(window_lat)
         sent = rows.stop - rows.start
         out.append(

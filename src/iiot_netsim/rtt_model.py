@@ -5,7 +5,8 @@ total = 2 * sum_i(d_i/v_i + (L_i/R_i)*h_i + P_i + h_i/(mu_i - lambda_i))
 
 The per-hop weight h_i multiplies both the transmission and queueing
 terms (and only those two); it defaults to 1.  All values are SI
-seconds internally.
+seconds internally.  Sums run left to right from 0.0, the same bits on
+every Python (the builtin sum is compensated since CPython 3.12).
 
 Only calibrate_to_target imports scipy (scipy.optimize.brentq).
 """
@@ -74,25 +75,28 @@ class RttBreakdown:
 
     def one_way(self) -> float:
         """One direction of the two-way part, excluding retransmission overhead."""
-        return sum(h.propagation + h.transmission + h.processing + h.queueing for h in self.hops)
+        total = 0.0
+        for h in self.hops:
+            total += h.propagation + h.transmission + h.processing + h.queueing
+        return total
 
 
 def compute_rtt(hops: list[HopConfig]) -> RttBreakdown:
     """Evaluate the round trip term by term over an ordered hop list."""
     terms = []
+    one_way = retx = 0.0
     for hop in hops:
-        terms.append(
-            HopTerms(
-                propagation=hop.distance / hop.propagation_speed,
-                transmission=(hop.packet_length / hop.link_rate) * hop.hop_weight,
-                processing=hop.processing_delay,
-                queueing=hop.hop_weight / (hop.service_rate - hop.arrival_rate),
-                retransmission=hop.retx_base / (1.0 - hop.loss_prob),
-            )
+        t = HopTerms(
+            propagation=hop.distance / hop.propagation_speed,
+            transmission=(hop.packet_length / hop.link_rate) * hop.hop_weight,
+            processing=hop.processing_delay,
+            queueing=hop.hop_weight / (hop.service_rate - hop.arrival_rate),
+            retransmission=hop.retx_base / (1.0 - hop.loss_prob),
         )
-    two_way = 2.0 * sum(t.propagation + t.transmission + t.processing + t.queueing for t in terms)
-    retx = sum(t.retransmission for t in terms)
-    return RttBreakdown(hops=tuple(terms), total=two_way + retx)
+        terms.append(t)
+        one_way += t.propagation + t.transmission + t.processing + t.queueing
+        retx += t.retransmission
+    return RttBreakdown(hops=tuple(terms), total=2.0 * one_way + retx)
 
 
 def _scaled(hops: list[HopConfig], field: str, references: list[float], s: float) -> list[HopConfig]:

@@ -263,11 +263,6 @@ class PacketColumns:
         return map(PacketRecord._make, zip(*columns))
 
 
-_NO_PACKETS = PacketColumns(
-    *(np.empty(0, dtype) for dtype in (float, float, np.int64, bool, float))
-)
-
-
 @dataclass
 class CentralServer:
     """Single FIFO exponential server; free_at persists across ticks."""
@@ -357,7 +352,6 @@ class _RunDraws(NamedTuple):
 
 # the fields a config may change and still read another config's draws
 _CHANNEL_FIELDS = frozenset({"fading", "fading_params", "noise_n0"})
-_NO_DRAWS = np.empty(0)
 
 
 def _draw_tick(
@@ -371,8 +365,6 @@ def _draw_tick(
     """
     tick_start = (t - 1) * cfg.tick_s
     base = cfg.rate_at_tick(t)
-    if base == 0:
-        return _TickDraws(tick_start, _NO_DRAWS, None, None, _NO_DRAWS)
 
     # one key pass: keys[d][i] is the key of substream (domains[d], node i + 1, t)
     domains = [DOMAIN_PACKET, DOMAIN_SERVER]
@@ -419,8 +411,6 @@ def _resolve_tick(
     resolve the same draws in turn.
     """
     tick_start, send, z, leg_u, service = draws
-    if not len(send):  # a tick at rate 0
-        return _NO_PACKETS
     if _lossy(cfg):
         p_leg = _leg_success_prob(cfg, z)
         delivered, legs = handshake_legs(cfg.qos_level, p_leg, leg_u, cfg.max_retries_per_leg)

@@ -51,6 +51,12 @@ class TestLatencyStats:
         assert sum([0.1] * 3) / 3 > 0.1
         assert latency_stats([0.1] * 3) == (0.1, 0.1, 0.1)
         assert latency_stats([]) == (None, None, None)
+        assert latency_stats(np.array([])) == (None, None, None)
+
+    def test_sum_runs_left_to_right(self):
+        # 1.0 + 2**-53 rounds to 1.0 (ties to even) twice; a compensated sum,
+        # as the builtin sum is since CPython 3.12, would give 1.0 + 2**-52
+        assert latency_stats(np.array([1.0, 2**-53, 2**-53])) == (2**-53, 1.0 / 3, 1.0)
 
 
 class TestSummarizeRtt:
@@ -275,12 +281,23 @@ class TestFadingComparisonTable:
 
 
 # The list-based summaries as they were before records became columns: one
-# Python object per packet, Python's sum over each group in row order.
+# Python object per packet, and each group's mean from an explicit
+# left-to-right loop over Python floats, independent of latency_stats.
+def ref_stats(values):
+    if not values:
+        return None, None, None
+    total = 0.0
+    for v in values:
+        total += v
+    lo, hi = min(values), max(values)
+    return lo, min(max(total / len(values), lo), hi), hi
+
+
 def ref_summarize_rtt(rows) -> RttSummary:
     lat = [r.latency_s for r in rows if r.delivered]
     if not lat:
         return RttSummary(None, None, None, 0)
-    lo, avg, hi = latency_stats(lat)
+    lo, avg, hi = ref_stats(lat)
     return RttSummary(min_ms=lo * 1e3, max_ms=hi * 1e3, avg_ms=avg * 1e3, count=len(lat))
 
 
@@ -290,7 +307,7 @@ def ref_mean_latency_so_far(rows, times):
     lats = [lat for _, lat in pairs]
     out = []
     for t in times:
-        _lo, avg, _hi = latency_stats(lats[: bisect.bisect_right(sends, t)])
+        _lo, avg, _hi = ref_stats(lats[: bisect.bisect_right(sends, t)])
         out.append(None if avg is None else avg * 1e3)
     return out
 
@@ -304,7 +321,7 @@ def ref_windowed_series(rows, window, bits_per_packet, span_s):
     for idx in range(max(1, math.ceil(span_s / window - 1e-12))):
         group = buckets.get(idx, [])
         ok = [r for r in group if r.delivered]
-        lo, avg, hi = latency_stats([r.latency_s * 1e3 for r in ok])
+        lo, avg, hi = ref_stats([r.latency_s * 1e3 for r in ok])
         out.append(
             IntervalReport(
                 window_start_s=idx * window,

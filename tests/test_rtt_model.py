@@ -53,9 +53,24 @@ def test_two_identical_hops():
 
 def test_breakdown_consistent_with_total():
     out = compute_rtt([REF_HOP, replace(REF_HOP, loss_prob=0.25, processing_delay=2e-3)])
-    two_way = 2.0 * sum(t.propagation + t.transmission + t.processing + t.queueing for t in out.hops)
-    retx = sum(t.retransmission for t in out.hops)
-    assert out.total == pytest.approx(two_way + retx, rel=1e-12)
+    one_way = retx = 0.0
+    for t in out.hops:
+        one_way += t.propagation + t.transmission + t.processing + t.queueing
+        retx += t.retransmission
+    assert out.total == pytest.approx(2.0 * one_way + retx, rel=1e-12)
+
+
+def test_terms_add_left_to_right():
+    # 1.0 + 2**-53 rounds to 1.0 (ties to even) twice; a compensated sum,
+    # as the builtin sum is since CPython 3.12, would give 1.0 + 2**-52
+    hops = [
+        replace(REF_HOP, distance=d, propagation_speed=1.0, hop_weight=0.0, retx_base=0.0)
+        for d in (1.0, 2**-53, 2**-53)
+    ]
+    out = compute_rtt(hops)
+    assert [t.propagation for t in out.hops] == [1.0, 2**-53, 2**-53]
+    assert out.one_way() == 1.0
+    assert out.total == 2.0
 
 
 def test_hop_validation():
