@@ -26,6 +26,7 @@ from .errors import (
     InstabilityError,
     InvalidConfigError,
     InvalidParameterError,
+    NetsimError,
     ShapeMismatchError,
     StatisticalCheckError,
     UnreachableTargetError,
@@ -49,7 +50,6 @@ from .reporting import (
     fading_comparison_table,
     intervals_to_csv,
     mean_latency_so_far,
-    parse_intervals_csv,
     rtt_summary_to_csv,
     summarize_rtt,
     windowed_series,
@@ -80,6 +80,7 @@ __all__ = [
     "InstabilityError",
     "InvalidConfigError",
     "InvalidParameterError",
+    "NetsimError",
     "ShapeMismatchError",
     "StatisticalCheckError",
     "UnreachableTargetError",
@@ -97,7 +98,6 @@ __all__ = [
     "fading_comparison_table",
     "intervals_to_csv",
     "mean_latency_so_far",
-    "parse_intervals_csv",
     "rtt_summary_to_csv",
     "summarize_rtt",
     "windowed_series",

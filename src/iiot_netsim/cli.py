@@ -4,9 +4,9 @@ Subcommands map one-to-one onto the package's reproduction recipes:
 simulate, compare-fading, validate-channel, qos-reliability, rtt, queue.
 Every file-writing command drops a manifest.json next to its outputs;
 the manifest's config snapshot plus seed reproduces the CSVs byte for
-byte.  Exit codes: 0 success, 2 config or usage error, 3 runtime
-instability, 4 statistical check failure.  All failures print a single
-"error: ..." line to stderr.
+byte.  A command exits 0 on success; a failure prints a single
+"error: ..." line to stderr and exits with the code its error type
+carries (errors.NetsimError.exit_code; 2 for an OSError).
 
 Units at this boundary are human-facing (milliseconds, dB); everything
 internal is SI.  Seed precedence: --seed, then IIOT_NETSIM_SEED, then
@@ -41,15 +41,7 @@ from .channel_models import (
     sample_rayleigh_gain_batch,
     sample_rician_gain_batch,
 )
-from .errors import (
-    DomainError,
-    InstabilityError,
-    InvalidConfigError,
-    InvalidParameterError,
-    ShapeMismatchError,
-    StatisticalCheckError,
-    UnreachableTargetError,
-)
+from .errors import InvalidConfigError, InvalidParameterError, NetsimError, StatisticalCheckError
 from .qos_state_machine import QoSChainParams, reliability, reliability_monte_carlo
 from .queueing_model import QueueParams, erlang_c_probability
 from .reporting import (
@@ -244,13 +236,13 @@ def build_config(doc: dict, seed_override: int | None = None) -> tuple[
     return SimulationConfig(**kwargs), plan, snapshot
 
 
-def resolve_seed(cli_seed: int | None) -> int | None:
-    """--seed beats the environment; returns None when neither is set."""
+def resolve_seed(cli_seed: int | None, default: int | None = None) -> int | None:
+    """--seed beats the environment; returns default when neither is set."""
     if cli_seed is not None:
         return cli_seed
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
-        return None
+        return default
     try:
         return int(raw)
     except ValueError:
@@ -353,8 +345,7 @@ def cmd_validate_channel(args) -> int:
     t0 = time.perf_counter()
     if args.samples < 100:
         raise InvalidParameterError(f"--samples must be >= 100, got {args.samples}")
-    seed = resolve_seed(args.seed)
-    seed = DEFAULT_SEED if seed is None else seed
+    seed = resolve_seed(args.seed, DEFAULT_SEED)
     z, sigma, law = _channel_samples(args, seed)
     failed = []  # every failed check, reported after the evidence is written
     if args.kind == "awgn":
@@ -442,8 +433,7 @@ def cmd_qos_reliability(args) -> int:
     params = QoSChainParams(args.alpha, args.beta, args.gamma, args.delta)
     if args.samples < 1:
         raise InvalidParameterError(f"--samples must be >= 1, got {args.samples}")
-    seed = resolve_seed(args.seed)
-    seed = DEFAULT_SEED if seed is None else seed
+    seed = resolve_seed(args.seed, DEFAULT_SEED)
     closed = reliability(params)
     mc = reliability_monte_carlo(params, args.samples, RngStream(seed).child("qos-reliability"))
     se = math.sqrt(max(mc * (1.0 - mc), 0.0) / args.samples)
@@ -574,33 +564,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EXIT_BY_ERROR = (
-    (StatisticalCheckError, 4),
-    (InstabilityError, 3),
-    (
-        (
-            InvalidConfigError,
-            InvalidParameterError,
-            DomainError,
-            ShapeMismatchError,
-            UnreachableTargetError,
-            OSError,
-        ),
-        2,
-    ),
-)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BaseException as e:
-        for types, code in _EXIT_BY_ERROR:
-            if isinstance(e, types):
-                print(f"error: {e}", file=sys.stderr)
-                return code
-        raise
+    except (NetsimError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return getattr(e, "exit_code", 2)
 
 
 if __name__ == "__main__":

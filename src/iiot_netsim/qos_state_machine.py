@@ -34,12 +34,9 @@ class QoSChainParams:
     delta: float
 
     def __post_init__(self):
-        for name, p in self.as_dict().items():
+        for name, p in zip(("alpha", "beta", "gamma", "delta"), self.legs()):
             if not (0.0 <= p <= 1.0):
                 raise InvalidParameterError(f"{name} must be in [0,1], got {p}")
-
-    def as_dict(self) -> dict[str, float]:
-        return {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma, "delta": self.delta}
 
     def legs(self) -> tuple[float, float, float, float]:
         return (self.alpha, self.beta, self.gamma, self.delta)
@@ -54,15 +51,20 @@ class QoSChainParams:
 MIN_LEGS = {0: 1, 1: 2, 2: N_LEGS}
 
 
+def _check_level(level: int) -> None:
+    if level not in MIN_LEGS:
+        raise InvalidParameterError(f"QoS level must be 0, 1 or 2, got {level}")
+
+
 def max_total_legs(level: int, max_retries: int) -> int:
     """Most legs one packet can consume; QoS 0 sends once and never retries."""
+    _check_level(level)
     return 1 if level == 0 else MIN_LEGS[level] * (max_retries + 1)
 
 
 def handshake_rows(level: int, max_retries: int) -> int:
     """Uniforms handshake_legs consumes per packet at this QoS level."""
-    if level not in MIN_LEGS:
-        raise InvalidParameterError(f"QoS level must be 0, 1 or 2, got {level}")
+    _check_level(level)
     # QoS 1 draws every leg of every attempt; QoS 2 inverts one geometric per leg
     return MIN_LEGS[level] * (max_retries + 1) if level == 1 else MIN_LEGS[level]
 
@@ -78,6 +80,7 @@ def handshake_legs(
     which matches the per-trial Bernoulli retry loop in distribution
     while consuming a fixed number of draws per packet.
     """
+    _check_level(level)
     n = p.shape[0]
     budget = max_retries + 1
     if level == 0:

@@ -111,15 +111,14 @@ def simulate_mmc(
     t_arrive = np.cumsum(gen.exponential(1.0 / params.lam, arrivals))
     service = gen.exponential(1.0 / params.mu, arrivals)
 
+    # FIFO: each arrival takes the server that frees first (a heap's root)
     free_at = [0.0] * params.servers
-    heapq.heapify(free_at)
-    waits = np.empty(arrivals)
-    for i in range(arrivals):
-        t = t_arrive[i]
-        earliest = heapq.heappop(free_at)
+    waits = []
+    for t, s in zip(t_arrive.tolist(), service.tolist()):
+        earliest = free_at[0]
         start = earliest if earliest > t else t
-        waits[i] = start - t
-        heapq.heappush(free_at, start + service[i])
+        waits.append(start - t)
+        heapq.heapreplace(free_at, start + s)
 
-    kept = waits[int(arrivals * WARMUP_FRACTION):]
+    kept = np.array(waits[int(arrivals * WARMUP_FRACTION):])
     return float(kept.mean()), float(np.count_nonzero(kept > 0.0) / kept.size)

@@ -155,32 +155,6 @@ def intervals_to_csv(reports: list[IntervalReport]) -> str:
     return buf.getvalue()
 
 
-def parse_intervals_csv(text: str) -> list[IntervalReport]:
-    """Inverse of intervals_to_csv, field for field."""
-    lines = text.strip().splitlines()
-    if not lines or lines[0] != INTERVALS_HEADER:
-        raise InvalidParameterError("unrecognized intervals CSV header")
-    out = []
-    for line in lines[1:]:
-        f = line.split(",")
-        if len(f) != 9:
-            raise InvalidParameterError(f"malformed intervals CSV row: {line!r}")
-        out.append(
-            IntervalReport(
-                window_start_s=float(f[0]),
-                window_len_s=float(f[1]),
-                sent=int(f[2]),
-                delivered=int(f[3]),
-                lost=int(f[4]),
-                throughput_bps=float(f[5]),
-                avg_latency_ms=float(f[6]) if f[6] else None,
-                min_latency_ms=float(f[7]) if f[7] else None,
-                max_latency_ms=float(f[8]) if f[8] else None,
-            )
-        )
-    return out
-
-
 def rtt_summary_to_csv(summary: RttSummary) -> str:
     return (
         RTT_SUMMARY_HEADER + "\n"

@@ -72,13 +72,7 @@ class HopTerms:
 class RttBreakdown:
     hops: tuple[HopTerms, ...]
     total: float
-
-    def one_way(self) -> float:
-        """One direction of the two-way part, excluding retransmission overhead."""
-        total = 0.0
-        for h in self.hops:
-            total += h.propagation + h.transmission + h.processing + h.queueing
-        return total
+    one_way: float  # one direction of the two-way part, without retransmission
 
 
 def compute_rtt(hops: list[HopConfig]) -> RttBreakdown:
@@ -96,7 +90,7 @@ def compute_rtt(hops: list[HopConfig]) -> RttBreakdown:
         terms.append(t)
         one_way += t.propagation + t.transmission + t.processing + t.queueing
         retx += t.retransmission
-    return RttBreakdown(hops=tuple(terms), total=2.0 * one_way + retx)
+    return RttBreakdown(hops=tuple(terms), total=2.0 * one_way + retx, one_way=one_way)
 
 
 def _scaled(hops: list[HopConfig], field: str, references: list[float], s: float) -> list[HopConfig]:

@@ -197,7 +197,7 @@ class SimulationConfig:
     def _one_way_s(self) -> float:
         # once per config: validation and every tick read it; not a field,
         # so equality, hashing and replace() see only the fields
-        return compute_rtt([self.base_hop]).one_way()
+        return compute_rtt([self.base_hop]).one_way
 
     def server_mu(self) -> float:
         """Central-server service rate; the base hop's service_rate doubles

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: files, exit codes, reproducibility."""
 import argparse
+import csv
 import json
 import math
 from importlib import resources
@@ -8,9 +9,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from iiot_netsim import cli
+from iiot_netsim import cli, errors
 from iiot_netsim.queueing_model import QueueParams, erlang_c_probability, mean_wait_in_queue
-from iiot_netsim.reporting import parse_intervals_csv
 
 
 def shipped(name: str) -> Path:
@@ -20,6 +20,11 @@ def shipped(name: str) -> Path:
 @pytest.fixture(autouse=True)
 def _no_ambient_seed(monkeypatch):
     monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+
+
+def read_intervals(out: Path) -> list[dict]:
+    with open(out / "intervals.csv", newline="") as f:
+        return list(csv.DictReader(f))
 
 
 def load_doc(name: str) -> dict:
@@ -42,9 +47,9 @@ class TestSimulate:
         assert {"intervals.csv", "rtt_summary.csv", "manifest.json"} <= {
             p.name for p in out.iterdir()
         }
-        rows = parse_intervals_csv((out / "intervals.csv").read_text())
-        assert sum(r.sent for r in rows) == 3000
-        assert all(r.lost == 0 for r in rows)
+        rows = read_intervals(out)
+        assert sum(int(r["sent"]) for r in rows) == 3000
+        assert all(r["lost"] == "0" for r in rows)
         assert "sent=3000" in capsys.readouterr().out
 
     def test_reruns_byte_identical(self, tmp_path):
@@ -195,13 +200,13 @@ class TestSimulate:
         out = tmp_path / "o"
         assert cli.main(["simulate", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 0
         printed = dict(f.split("=") for f in capsys.readouterr().out.split())
-        rows = parse_intervals_csv((out / "intervals.csv").read_text())
+        rows = read_intervals(out)
         header, values = (out / "rtt_summary.csv").read_text().splitlines()
         summary = dict(zip(header.split(","), values.split(",")))
-        assert int(printed["sent"]) == sum(r.sent for r in rows)
-        assert int(printed["delivered"]) == sum(r.delivered for r in rows)
+        assert int(printed["sent"]) == sum(int(r["sent"]) for r in rows)
+        assert int(printed["delivered"]) == sum(int(r["delivered"]) for r in rows)
         assert int(printed["delivered"]) == int(summary["count"])
-        assert int(printed["lost"]) == sum(r.lost for r in rows) > 0
+        assert int(printed["lost"]) == sum(int(r["lost"]) for r in rows) > 0
         assert float(printed["avg_latency_ms"]) == pytest.approx(
             float(summary["avg_ms"]), rel=1e-11
         )
@@ -241,9 +246,9 @@ class TestSimulate:
                 "2.0",
             ]
         )
-        rows = parse_intervals_csv((out / "intervals.csv").read_text())
+        rows = read_intervals(out)
         assert len(rows) == 5
-        assert all(r.window_len_s == 2.0 for r in rows)
+        assert all(float(r["window_len_s"]) == 2.0 for r in rows)
 
 
     def test_parser_built_once_and_nothing_parsed_leaks(self, tmp_path, monkeypatch):
@@ -261,8 +266,8 @@ class TestSimulate:
         def window_and_seed(*flags):
             assert cli.main(["simulate", "--config", cfg, "--out", str(out), *flags]) == 0
             manifest = json.loads((out / "manifest.json").read_text())
-            rows = parse_intervals_csv((out / "intervals.csv").read_text())
-            assert {r.window_len_s for r in rows} == {manifest["config"]["report_window_s"]}
+            rows = read_intervals(out)
+            assert {float(r["window_len_s"]) for r in rows} == {manifest["config"]["report_window_s"]}
             return manifest["config"]["report_window_s"], manifest["seed"]
 
         cli.build_parser.cache_clear()
@@ -374,6 +379,53 @@ def test_library_rejection_leaves_no_output_dir(
     assert err.startswith("error:") and message in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+# every package error type, and OSError, with the literal code main returns
+EXIT_CODES = {
+    errors.NetsimError: 2,
+    errors.InvalidParameterError: 2,
+    errors.DomainError: 2,
+    errors.InstabilityError: 3,
+    errors.UnreachableTargetError: 2,
+    errors.ShapeMismatchError: 2,
+    errors.InvalidConfigError: 2,
+    errors.StatisticalCheckError: 4,
+    OSError: 2,
+}
+
+
+def stub_command(monkeypatch, exc: BaseException) -> None:
+    """Make every argv run a command that raises exc."""
+
+    def fail(args):
+        raise exc
+
+    parser = SimpleNamespace(parse_args=lambda argv: SimpleNamespace(func=fail))
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+
+
+def test_exit_codes_cover_every_error_type():
+    package = {
+        v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception)
+    }
+    assert package | {OSError} == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("error", list(EXIT_CODES), ids=lambda e: e.__name__)
+def test_each_error_type_exits_with_its_code(monkeypatch, capsys, error):
+    stub_command(monkeypatch, error("stubbed failure"))
+    assert cli.main(["any"]) == EXIT_CODES[error]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stubbed failure\n"
+
+
+def test_other_exceptions_propagate(monkeypatch, capsys):
+    stub_command(monkeypatch, ZeroDivisionError("not a usage error"))
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["any"])
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

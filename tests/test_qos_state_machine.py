@@ -10,9 +10,11 @@ from iiot_netsim.channel_models import RayleighParams, channel_gain
 from iiot_netsim.errors import DomainError, InvalidParameterError
 from iiot_netsim.qos_state_machine import (
     MIN_LEGS,
+    N_LEGS,
     QoSChainParams,
     handshake_legs,
     handshake_rows,
+    max_total_legs,
     reliability,
     reliability_monte_carlo,
 )
@@ -199,8 +201,14 @@ def test_qos2_delegates():
 
 
 def test_qos_level_guard():
-    with pytest.raises(InvalidParameterError):
-        handshake_rows(3, 8)
+    leg_u = np.full((N_LEGS, 2), 0.5)
+    for level in (-1, 3):
+        with pytest.raises(InvalidParameterError):
+            handshake_rows(level, 8)
+        with pytest.raises(InvalidParameterError):
+            handshake_legs(level, np.full(2, 0.9), leg_u, 8)
+        with pytest.raises(InvalidParameterError):
+            max_total_legs(level, 1)
 
 
 @pytest.mark.parametrize("retries", range(9))

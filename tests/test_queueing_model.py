@@ -1,13 +1,16 @@
 """Erlang-C closed forms against hand values and the discrete-event oracle."""
+import heapq
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from iiot_netsim.errors import InstabilityError, InvalidParameterError
 from iiot_netsim.queueing_model import (
+    WARMUP_FRACTION,
     QueueParams,
     erlang_c_probability,
     mean_wait_in_queue,
@@ -175,6 +178,32 @@ def test_simulate_reproducible():
     a = simulate_mmc(QueueParams(2.0, 1.0, 4), 5000, stream("rep"))
     b = simulate_mmc(QueueParams(2.0, 1.0, 4), 5000, stream("rep"))
     assert a == b
+
+
+def reference_mmc(params, arrivals, rng):
+    """FIFO recursion with one pop and one push per arrival."""
+    gen = rng.gen
+    t_arrive = np.cumsum(gen.exponential(1.0 / params.lam, arrivals))
+    service = gen.exponential(1.0 / params.mu, arrivals)
+    free_at = [0.0] * params.servers
+    heapq.heapify(free_at)
+    waits = np.empty(arrivals)
+    for i in range(arrivals):
+        t = t_arrive[i]
+        earliest = heapq.heappop(free_at)
+        start = earliest if earliest > t else t
+        waits[i] = start - t
+        heapq.heappush(free_at, start + service[i])
+    kept = waits[int(arrivals * WARMUP_FRACTION):]
+    return float(kept.mean()), float(np.count_nonzero(kept > 0.0) / kept.size)
+
+
+@pytest.mark.parametrize("c", [1, 2, 4])
+@pytest.mark.parametrize("util,arrivals", [(0.3, 1), (0.5, 17), (0.9, 5000)])
+def test_simulate_matches_reference_recursion(c, util, arrivals):
+    p = QueueParams(lam=util * c, mu=1.0, servers=c)
+    path = ("ref", c, int(util * 10), arrivals)
+    assert simulate_mmc(p, arrivals, stream(*path)) == reference_mmc(p, arrivals, stream(*path))
 
 
 @pytest.mark.parametrize("c,util", [(1, 0.6), (4, 0.6)])

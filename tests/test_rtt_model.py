@@ -58,6 +58,7 @@ def test_breakdown_consistent_with_total():
         one_way += t.propagation + t.transmission + t.processing + t.queueing
         retx += t.retransmission
     assert out.total == pytest.approx(2.0 * one_way + retx, rel=1e-12)
+    assert out.one_way == one_way  # the same sum in the same order
 
 
 def test_terms_add_left_to_right():
@@ -69,7 +70,7 @@ def test_terms_add_left_to_right():
     ]
     out = compute_rtt(hops)
     assert [t.propagation for t in out.hops] == [1.0, 2**-53, 2**-53]
-    assert out.one_way() == 1.0
+    assert out.one_way == 1.0
     assert out.total == 2.0
 
 
