@@ -53,7 +53,7 @@ from .reporting import (
 )
 from .rng import RngStream
 from .rtt_model import HopConfig, compute_rtt
-from .sim_engine import FADING_PARAMS, FadingSpec, SimulationConfig, compare_fading, run_simulation
+from .sim_engine import FadingSpec, SimulationConfig, compare_fading, run_simulation
 
 SEED_ENV_VAR = "IIOT_NETSIM_SEED"
 DEFAULT_SEED = 42
@@ -106,6 +106,9 @@ _CONFIG_KEYS = {
 }
 _REQUIRED_KEYS = frozenset({"node_count", "duration_s", "seed", "base_hop"})
 _JSON_NAMES = {bool: "a boolean", str: "a string", dict: "a JSON object"}
+# each fading kind's JSON name and the class of its params ("none" takes null)
+FADING_PARAMS = {"none": None, "awgn": AwgnParams, "rayleigh": RayleighParams,
+                 "rician": RicianParams}
 
 
 def _fmt(x: float) -> str:
@@ -195,7 +198,7 @@ def parse_comparison(obj: dict) -> ComparePlan:
         fading = _typed(item["fading"], str, f"{where}.fading")
         params = parse_fading_params(fading, item.get("params"), f"{where}.params")
         noise = _typed(item["noise_n0"], float, f"{where}.noise_n0") if "noise_n0" in item else None
-        kinds.append(FadingSpec(label=label, fading=fading, fading_params=params, noise_n0=noise))
+        kinds.append(FadingSpec(label=label, fading=params, noise_n0=noise))
     return ComparePlan(kinds=kinds, sample_times_s=times)
 
 
@@ -229,8 +232,8 @@ def build_config(doc: dict, seed_override: int | None = None) -> tuple[
     kwargs = {k: _typed(v, _CONFIG_KEYS[k], f"config.{k}") for k, v in snapshot.items()}
     comparison = kwargs.pop("comparison", None)
     kwargs["base_hop"] = parse_hop(kwargs["base_hop"])
-    kwargs["fading_params"] = parse_fading_params(
-        kwargs.get("fading", "none"), kwargs.get("fading_params"), "config.fading_params"
+    kwargs["fading"] = parse_fading_params(
+        kwargs.get("fading", "none"), kwargs.pop("fading_params", None), "config.fading_params"
     )
     plan = parse_comparison(comparison) if comparison is not None else None
     return SimulationConfig(**kwargs), plan, snapshot

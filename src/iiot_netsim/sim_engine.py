@@ -43,11 +43,11 @@ inverse-CDF geometric draws (one uniform per leg), which keeps draw
 alignment across fading kinds: on a lossy channel every kind draws the
 normals, awgn included though it does not read them, so the same seed
 gives every kind the same uniforms, coupling the runs for low-variance
-ordering.  On a lossless channel (fading "none", or no SNR threshold) no
-leg can fail, and the tick draws neither the normals nor the leg
-uniforms: they come last in the stream, so every draw it does make is
-the one a lossy run of the same seed makes, and a lossless kind can
-resolve a lossy draw.
+ordering.  On a lossless channel (the ideal one, fading None, or no SNR
+threshold) no leg can fail, and the tick draws neither the normals nor
+the leg uniforms: they come last in the stream, so every draw it does
+make is the one a lossy run of the same seed makes, and a lossless kind
+can resolve a lossy draw.
 
 Only per_packet_error_probability imports scipy (scipy.special.expit), so
 a run on an ideal or lossless channel never loads it.
@@ -64,7 +64,9 @@ import numpy as np
 
 from .channel_models import AwgnParams, RayleighParams, RicianParams, channel_gain
 from .errors import InvalidConfigError, InvalidParameterError
-from .qos_state_machine import MIN_LEGS, handshake_legs, handshake_rows, max_total_legs
+from .qos_state_machine import (
+    MIN_LEGS, _check_level, handshake_legs, handshake_rows, max_total_legs
+)
 from .queueing_model import QueueParams
 from .reporting import mean_latency_so_far
 from .rng import (
@@ -72,6 +74,7 @@ from .rng import (
     DOMAIN_RATE_JITTER,
     DOMAIN_SERVER,
     RekeyableGenerator,
+    _check_seed,
     philox_keys,
     philox_random,
 )
@@ -80,14 +83,8 @@ from .rtt_model import HopConfig, compute_rtt
 PER_SLOPE_PER_DB = 1.0
 RATE_JITTER_SPAN = (0.8, 1.2)
 
+# a channel is its fading parameters; None is the ideal channel
 FadingParams = AwgnParams | RayleighParams | RicianParams | None
-# each fading kind and the class of its fading_params ("none" takes None)
-FADING_PARAMS = {
-    "none": None,
-    "awgn": AwgnParams,
-    "rayleigh": RayleighParams,
-    "rician": RicianParams,
-}
 
 
 def per_packet_error_probability(snr_linear, threshold_db: float):
@@ -108,9 +105,17 @@ def per_packet_error_probability(snr_linear, threshold_db: float):
     return out if out.ndim else float(out)
 
 
-_INTEGER_FIELDS = (
-    "node_count", "seed", "qos_level", "packets_per_node_per_tick", "max_retries_per_leg"
-)
+_BOOL = (bool, np.bool_)
+# what each field annotation of SimulationConfig accepts, and its name in
+# the error; a number field refuses bool
+_ANNOTATED_TYPES = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a real number"),
+    "float | None": (numbers.Real | None, "a real number or None"),
+    "bool": (_BOOL, "a bool"),
+    "HopConfig": (HopConfig, "a HopConfig"),
+    "FadingParams": (FadingParams, "AwgnParams, RayleighParams, RicianParams or None"),
+}
 
 
 @dataclass(frozen=True)
@@ -120,8 +125,7 @@ class SimulationConfig:
     base_hop: HopConfig
     seed: int
     tick_s: float = 1.0
-    fading: str = "none"
-    fading_params: FadingParams = None
+    fading: FadingParams = None
     noise_n0: float = 1.0
     qos_level: int = 2
     packets_per_node_per_tick: int = 1
@@ -132,10 +136,16 @@ class SimulationConfig:
     report_window_s: float = 5.0
 
     def __post_init__(self):
-        for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+        for f in fields(self):
+            kind, what = _ANNOTATED_TYPES[f.type]
+            value = getattr(self, f.name)
+            if not isinstance(value, kind) or (isinstance(value, _BOOL) and kind is not _BOOL):
+                raise InvalidConfigError(f"{f.name} must be {what}, got {value!r}")
+        try:
+            _check_level(self.qos_level)
+            _check_seed(self.seed)
+        except InvalidParameterError as e:
+            raise InvalidConfigError(str(e)) from None
         # node and tick are 32-bit components of the substream ids (rng.philox_keys)
         if not 1 <= self.node_count < 2**32:
             raise InvalidConfigError(f"node_count must be in [1, 2**32), got {self.node_count}")
@@ -150,8 +160,6 @@ class SimulationConfig:
             )
         if self.n_ticks() >= 2**32:
             raise InvalidConfigError(f"a run must have < 2**32 ticks, got {self.n_ticks()}")
-        if self.qos_level not in MIN_LEGS:
-            raise InvalidConfigError(f"qos_level must be 0, 1 or 2, got {self.qos_level}")
         if self.packets_per_node_per_tick < 0:
             raise InvalidConfigError("packets_per_node_per_tick must be >= 0")
         if self.max_retries_per_leg < 0:
@@ -166,19 +174,8 @@ class SimulationConfig:
             raise InvalidConfigError("report_window_s must be finite and > 0")
         if self.snr_threshold_db is not None and not math.isfinite(self.snr_threshold_db):
             raise InvalidConfigError("snr_threshold_db must be finite or None")
-        if not 0 <= self.seed < 2**64:
-            raise InvalidConfigError("seed must fit in 64 bits")
-        if self.fading not in FADING_PARAMS:
-            raise InvalidConfigError(
-                f"fading must be one of {tuple(FADING_PARAMS)}, got {self.fading!r}"
-            )
-        wanted = FADING_PARAMS[self.fading] or type(None)
-        if not isinstance(self.fading_params, wanted):
-            raise InvalidConfigError(
-                f"fading_params for kind {self.fading!r} must be {wanted.__name__}, "
-                f"got {type(self.fading_params).__name__}"
-            )
-        if self.fading in ("rayleigh", "rician") and not 0 < self.noise_n0 < math.inf:
+        fades = isinstance(self.fading, (RayleighParams, RicianParams))
+        if fades and not 0 < self.noise_n0 < math.inf:
             raise InvalidConfigError(f"noise_n0 must be finite and > 0, got {self.noise_n0}")
         if self.handshake_guard_s() >= self.tick_s:
             raise InvalidConfigError(
@@ -309,23 +306,24 @@ def make_state(config: SimulationConfig) -> SimulationState:
 
 def _leg_success_prob(config: SimulationConfig, z: np.ndarray) -> np.ndarray:
     """Per-packet leg success probability from the channel draw, on a lossy
-    channel: a fading kind other than "none" and an SNR threshold.
+    channel: fading parameters and an SNR threshold.
 
     z is the packet's pair of standard normal quadrature draws.  awgn does
     not read them; the tick still draws them, so the leg uniforms after
     them stay aligned across fading kinds.
     """
-    if config.fading == "awgn":
-        snr = np.full(z.shape[1], 1.0 / config.fading_params.n0)
-    else:  # rayleigh, rician
-        h = channel_gain(config.fading_params, z)
+    if isinstance(config.fading, AwgnParams):
+        snr = np.full(z.shape[1], 1.0 / config.fading.n0)
+    else:  # RayleighParams, RicianParams
+        h = channel_gain(config.fading, z)
         snr = (h.real**2 + h.imag**2) / config.noise_n0
     return 1.0 - per_packet_error_probability(snr, config.snr_threshold_db)
 
 
 def _lossy(config: SimulationConfig) -> bool:
-    """Whether a leg can fail: a fading kind other than "none" and an SNR threshold."""
-    return config.fading != "none" and config.snr_threshold_db is not None
+    """Whether a leg can fail: fading parameters (not the ideal channel) and
+    an SNR threshold."""
+    return config.fading is not None and config.snr_threshold_db is not None
 
 
 class _TickDraws(NamedTuple):
@@ -351,7 +349,7 @@ class _RunDraws(NamedTuple):
 
 
 # the fields a config may change and still read another config's draws
-_CHANNEL_FIELDS = frozenset({"fading", "fading_params", "noise_n0"})
+_CHANNEL_FIELDS = frozenset({"fading", "noise_n0"})
 
 
 def _draw_tick(
@@ -363,7 +361,7 @@ def _draw_tick(
     The fading kind is not read, so every config with cfg's traffic can
     resolve these draws.
     """
-    tick_start = (t - 1) * cfg.tick_s
+    tick_start = (t - 1) * float(cfg.tick_s)  # a float column even for an int tick_s
     base = cfg.rate_at_tick(t)
 
     # one key pass: keys[d][i] is the key of substream (domains[d], node i + 1, t)
@@ -478,9 +476,9 @@ def run_simulation(
     """Run every tick.
 
     draws, keyword-only, are a run's draws shared by configs that differ
-    only in fading, fading_params and noise_n0; compare_fading makes them
-    once for all its kinds.  Draws of other traffic, or lossless draws
-    given to a lossy config, raise InvalidParameterError.
+    only in fading and noise_n0; compare_fading makes them once for all
+    its kinds.  Draws of other traffic, or lossless draws given to a lossy
+    config, raise InvalidParameterError.
     """
     if draws is not None:
         _check_draws(config, draws)
@@ -495,8 +493,7 @@ class FadingSpec:
     """One column of a comparison run."""
 
     label: str
-    fading: str
-    fading_params: FadingParams = None
+    fading: FadingParams
     noise_n0: float | None = None
 
 
@@ -537,7 +534,6 @@ def compare_fading(
         replace(
             base,
             fading=spec.fading,
-            fading_params=spec.fading_params,
             noise_n0=spec.noise_n0 if spec.noise_n0 is not None else base.noise_n0,
         )
         for spec in kinds

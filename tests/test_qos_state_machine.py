@@ -181,8 +181,7 @@ def test_qos2_delegates():
         duration_s=1.0,
         base_hop=hop(),
         seed=SEED,
-        fading="rayleigh",
-        fading_params=RayleighParams(sigma=1.0),
+        fading=RayleighParams(sigma=1.0),
         snr_threshold_db=0.0,
         packets_per_node_per_tick=n,
         max_retries_per_leg=2,
@@ -190,7 +189,7 @@ def test_qos2_delegates():
     records = run_simulation(cfg).records
     gen = RngStream(SEED).child(DOMAIN_PACKET, 1, 1).gen
     gen.random(n)  # send times
-    h = channel_gain(cfg.fading_params, gen.standard_normal((2, n)))
+    h = channel_gain(cfg.fading, gen.standard_normal((2, n)))
     leg_u = gen.random((handshake_rows(2, 2), n))
     snr = (h.real**2 + h.imag**2) / cfg.noise_n0
     p = 1.0 - per_packet_error_probability(snr, 0.0)

@@ -4,7 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -118,32 +118,28 @@ class TestPerPacketErrorProbability:
 
 class TestChannelGain:
     @pytest.mark.parametrize(
-        "fading,params",
+        "kind,params",
         [
             ("rayleigh", RayleighParams(sigma=0.8)),
             ("rician", RicianParams(amplitude=1.5, sigma=0.6, phase=0.3)),
         ],
     )
-    def test_simulator_snr_uses_channel_gain(self, fading, params):
+    def test_simulator_snr_uses_channel_gain(self, kind, params):
         # the simulator's SNR for draws z is |channel_gain(z)|^2 / n0, term for term
-        cfg = make_config(fading=fading, fading_params=params, noise_n0=0.7, snr_threshold_db=1.0)
+        cfg = make_config(fading=params, noise_n0=0.7, snr_threshold_db=1.0)
         z = RngStream(SEED).child("snr").gen.standard_normal((2, 500))
         h = channel_gain(params, z)
         snr = (h.real**2 + h.imag**2) / 0.7
         expect = 1.0 - per_packet_error_probability(snr, 1.0)
-        np.testing.assert_array_equal(_leg_success_prob(cfg, z), expect)
+        np.testing.assert_array_equal(_leg_success_prob(cfg, z), expect, err_msg=kind)
 
 
 class TestConfigValidation:
-    def test_rejects_bad_fading_kind(self):
-        with pytest.raises(InvalidConfigError):
-            make_config(fading="nakagami")
-
-    def test_rejects_mismatched_params(self):
-        with pytest.raises(InvalidConfigError):
-            make_config(fading="rayleigh", fading_params=AwgnParams(n0=1.0))
-        with pytest.raises(InvalidConfigError):
-            make_config(fading="none", fading_params=RayleighParams(sigma=1.0))
+    def test_fading_takes_only_params_or_none(self):
+        # a kind name, a JSON-style object or a class is not a channel
+        for fading in ("rayleigh", {"sigma": 1.0}, RayleighParams):
+            with pytest.raises(InvalidConfigError, match="fading must be"):
+                make_config(fading=fading)
 
     def test_rejects_fractional_tick_count(self):
         with pytest.raises(InvalidConfigError):
@@ -171,7 +167,7 @@ class TestConfigValidation:
             {"snr_threshold_db": -math.inf},
             {"rate_growth_per_tick": 1e308},
             {"packets_per_node_per_tick": 0, "rate_growth_per_tick": 1e308},
-            {"fading": "rayleigh", "fading_params": RayleighParams(1.0), "noise_n0": math.inf},
+            {"fading": RayleighParams(1.0), "noise_n0": math.inf},
         ],
     )
     def test_rejects_non_finite(self, overrides):
@@ -198,6 +194,46 @@ class TestConfigValidation:
         # a float or bool would run as some other integer or fail deep inside run_tick
         with pytest.raises(InvalidConfigError, match="must be an integer"):
             make_config(**overrides)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        with pytest.raises(InvalidConfigError, match="seed must fit in 64 bits"):
+            make_config(seed=seed)
+
+    # one wrongly typed value per field; a field missing here fails the lookup
+    ILL_TYPED = {
+        "node_count": "3",
+        "duration_s": "2",
+        "base_hop": {"distance_m": 30.0},
+        "seed": None,
+        "tick_s": True,
+        "fading": RayleighParams,
+        "noise_n0": "x",
+        "qos_level": "2",
+        "packets_per_node_per_tick": 2.0,
+        "snr_threshold_db": "x",
+        "max_retries_per_leg": np.float64(8.0),
+        "rate_jitter": "no",
+        "rate_growth_per_tick": "0",
+        "report_window_s": "5",
+    }
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(SimulationConfig)])
+    def test_rejects_ill_typed_field(self, field):
+        with pytest.raises(InvalidConfigError, match=f"^{field} must be"):
+            make_config(**{field: self.ILL_TYPED[field]})
+
+    def test_real_fields_take_integers_and_rate_jitter_numpy_bools(self):
+        reals = dict(
+            duration_s=5, tick_s=1, noise_n0=2, snr_threshold_db=0,
+            rate_growth_per_tick=0, report_window_s=5,
+        )
+        rayleigh = RayleighParams(sigma=1.0)
+        ints = make_config(**reals, fading=rayleigh, rate_jitter=np.bool_(True))
+        floats = make_config(
+            **{k: float(v) for k, v in reals.items()}, fading=rayleigh, rate_jitter=True
+        )
+        assert same_columns(run_simulation(ints).records, run_simulation(floats).records)
 
     def test_accepts_numpy_integers(self):
         cfg = make_config(node_count=np.int64(3), seed=np.uint64(SEED), qos_level=np.int8(2))
@@ -318,7 +354,7 @@ def ref_run_tick(state, t, jitter_u=None) -> PacketColumns:
 
     z = np.concatenate(z, axis=1)
     p_leg = np.ones(z.shape[1])
-    if cfg.fading != "none" and cfg.snr_threshold_db is not None:
+    if cfg.fading is not None and cfg.snr_threshold_db is not None:
         p_leg = _leg_success_prob(cfg, z)
     delivered, legs = handshake_legs(
         cfg.qos_level, p_leg, np.concatenate(leg_u, axis=1), cfg.max_retries_per_leg
@@ -335,16 +371,16 @@ def ref_run_tick(state, t, jitter_u=None) -> PacketColumns:
 
 
 CHANNELS = [
-    FadingSpec("none", "none"),
-    FadingSpec("awgn", "awgn", AwgnParams(n0=1.0)),
-    FadingSpec("rayleigh", "rayleigh", RayleighParams(sigma=1.0), noise_n0=1.0),
-    FadingSpec("rician", "rician", RicianParams(amplitude=1.0, sigma=0.7), noise_n0=1.0),
+    FadingSpec("none", None),
+    FadingSpec("awgn", AwgnParams(n0=1.0)),
+    FadingSpec("rayleigh", RayleighParams(sigma=1.0), noise_n0=1.0),
+    FadingSpec("rician", RicianParams(amplitude=1.0, sigma=0.7), noise_n0=1.0),
 ]
 
 
 def with_channel(cfg: SimulationConfig, spec: FadingSpec) -> SimulationConfig:
     noise_n0 = cfg.noise_n0 if spec.noise_n0 is None else spec.noise_n0
-    return replace(cfg, fading=spec.fading, fading_params=spec.fading_params, noise_n0=noise_n0)
+    return replace(cfg, fading=spec.fading, noise_n0=noise_n0)
 
 
 @st.composite
@@ -449,25 +485,15 @@ class TestDrawsPerNode:
 
     @pytest.mark.parametrize("spec", CHANNELS, ids=lambda s: s.label)
     def test_lossless_jittered_tick_rekeys_twice_per_node(self, spec):
-        # "none" is lossless even with a threshold; the other kinds without one
-        threshold = 0.0 if spec.fading == "none" else None
-        streams = self.streams(
-            rate_jitter=True,
-            fading=spec.fading,
-            fading_params=spec.fading_params,
-            snr_threshold_db=threshold,
-        )
+        # the ideal channel is lossless even with a threshold; the others without one
+        threshold = 0.0 if spec.fading is None else None
+        streams = self.streams(rate_jitter=True, fading=spec.fading, snr_threshold_db=threshold)
         assert len(streams) == 2 * self.NODES
         assert streams == [["random"], ["exponential"]] * self.NODES
 
     @pytest.mark.parametrize("spec", CHANNELS[1:], ids=lambda s: s.label)
     def test_lossy_tick_draws_normals_and_leg_uniforms(self, spec):
-        streams = self.streams(
-            rate_jitter=True,
-            fading=spec.fading,
-            fading_params=spec.fading_params,
-            snr_threshold_db=0.0,
-        )
+        streams = self.streams(rate_jitter=True, fading=spec.fading, snr_threshold_db=0.0)
         packet = ["random", "standard_normal", "random"]
         assert streams == [packet, ["exponential"]] * self.NODES
 
@@ -475,8 +501,7 @@ class TestDrawsPerNode:
 class TestConservationAndInvariants:
     def test_delivered_plus_lost_equals_offered(self):
         cfg = make_config(
-            fading="rayleigh",
-            fading_params=RayleighParams(sigma=1.0),
+            fading=RayleighParams(sigma=1.0),
             noise_n0=4.0,
             snr_threshold_db=-10.0,
             max_retries_per_leg=2,
@@ -495,8 +520,7 @@ class TestConservationAndInvariants:
 
     def test_delivered_implies_positive_latency_and_attempts(self):
         cfg = make_config(
-            fading="rician",
-            fading_params=RicianParams(amplitude=1.0, sigma=1.0),
+            fading=RicianParams(amplitude=1.0, sigma=1.0),
             noise_n0=8.0,
             snr_threshold_db=-10.0,
         )
@@ -509,9 +533,7 @@ class TestConservationAndInvariants:
                 assert math.isnan(r.latency_s)
 
     def test_latency_floor(self):
-        cfg = make_config(
-            fading="awgn", fading_params=AwgnParams(n0=3.0), snr_threshold_db=-8.0
-        )
+        cfg = make_config(fading=AwgnParams(n0=3.0), snr_threshold_db=-8.0)
         floor = cfg.min_legs() * cfg.one_way_s()
         res = run_simulation(cfg)
         lat = [r.latency_s for r in res.records if r.delivered]
@@ -536,8 +558,7 @@ class TestConservationAndInvariants:
 class TestDeterminismAndIsolation:
     def test_identical_runs_identical_records(self):
         cfg = make_config(
-            fading="rayleigh",
-            fading_params=RayleighParams(sigma=1.0),
+            fading=RayleighParams(sigma=1.0),
             noise_n0=2.0,
             snr_threshold_db=-10.0,
         )
@@ -559,8 +580,7 @@ class TestDeterminismAndIsolation:
         # tick is a prefix of the (N+1)-node tick; latency is excluded
         # because all nodes share the server queue
         cfg = make_config(
-            fading="rician",
-            fading_params=RicianParams(amplitude=1.0, sigma=1.0),
+            fading=RicianParams(amplitude=1.0, sigma=1.0),
             noise_n0=8.0,
             snr_threshold_db=-10.0,
             rate_jitter=rate_jitter,
@@ -668,8 +688,7 @@ class TestRecordColumns:
             duration_s=2.0,
             packets_per_node_per_tick=500,
             base_hop=make_hop(service=5000.0),
-            fading="rayleigh",
-            fading_params=RayleighParams(sigma=1.0),
+            fading=RayleighParams(sigma=1.0),
             noise_n0=4.0,
             snr_threshold_db=-10.0,
             max_retries_per_leg=2,
@@ -699,8 +718,7 @@ class TestServerFifo:
         cfg = make_config(
             node_count=5,
             packets_per_node_per_tick=190,
-            fading="awgn",
-            fading_params=AwgnParams(n0=0.1),
+            fading=AwgnParams(n0=0.1),
             snr_threshold_db=7.0,
         )
         state = make_state(cfg)
@@ -731,8 +749,7 @@ class TestQosMeansMatchAnalytic:
             duration_s=4.0,
             packets_per_node_per_tick=200,
             base_hop=make_hop(service=4000.0),
-            fading="awgn",
-            fading_params=AwgnParams(n0=1.0),
+            fading=AwgnParams(n0=1.0),
             snr_threshold_db=0.0,
             **kw,
         )
@@ -803,12 +820,10 @@ class TestTrafficLoopback:
 
 class TestCompareFading:
     KINDS = [
-        FadingSpec("none", "none"),
-        FadingSpec("rayleigh", "rayleigh", RayleighParams(sigma=1.0), noise_n0=2.540456),
-        FadingSpec(
-            "rician", "rician", RicianParams(amplitude=1.0, sigma=1.0), noise_n0=8.832145
-        ),
-        FadingSpec("awgn", "awgn", AwgnParams(n0=7.761589)),
+        FadingSpec("none", None),
+        FadingSpec("rayleigh", RayleighParams(sigma=1.0), noise_n0=2.540456),
+        FadingSpec("rician", RicianParams(amplitude=1.0, sigma=1.0), noise_n0=8.832145),
+        FadingSpec("awgn", AwgnParams(n0=7.761589)),
     ]
 
     @staticmethod
@@ -824,8 +839,8 @@ class TestCompareFading:
 
     def test_identical_kinds_identical_columns(self):
         kinds = [
-            FadingSpec("a", "rayleigh", RayleighParams(sigma=1.0), noise_n0=2.0),
-            FadingSpec("b", "rayleigh", RayleighParams(sigma=1.0), noise_n0=2.0),
+            FadingSpec("a", RayleighParams(sigma=1.0), noise_n0=2.0),
+            FadingSpec("b", RayleighParams(sigma=1.0), noise_n0=2.0),
         ]
         out = compare_fading(self.base(), kinds, [2.0, 6.0, 10.0])
         np.testing.assert_array_equal(out[:, 0], out[:, 1])
@@ -855,7 +870,7 @@ class TestCompareFading:
             compare_fading(self.base(), self.KINDS[:2], [4.0, 2.0])
         with pytest.raises(InvalidConfigError):
             compare_fading(self.base(), self.KINDS[:2], [2.0, 11.0])
-        dup = [self.KINDS[0], FadingSpec("none", "none")]
+        dup = [self.KINDS[0], FadingSpec("none", None)]
         with pytest.raises(InvalidConfigError):
             compare_fading(self.base(), dup, [2.0])
 
@@ -938,7 +953,7 @@ class TestSharedDraws:
             kind = replace(with_channel(cfg, spec), noise_n0=3.0)
             want = run_simulation(kind).records
             assert same_columns(run_simulation(kind, draws=lossy).records, want)
-            if spec.fading == "none":
+            if spec.fading is None:
                 assert same_columns(run_simulation(kind, draws=lossless).records, want)
             else:
                 with pytest.raises(InvalidParameterError, match="lossy"):
@@ -971,8 +986,8 @@ class TestSharedDraws:
 class TestSpecifiedTrends:
     def test_monotone_degradation_sign_test(self):
         # raising the noise floor must not reduce latency; paired over 30 seeds
-        kinds_lo = FadingSpec("lo", "awgn", AwgnParams(n0=4.0))
-        kinds_hi = FadingSpec("hi", "awgn", AwgnParams(n0=8.0))
+        kinds_lo = FadingSpec("lo", AwgnParams(n0=4.0))
+        kinds_hi = FadingSpec("hi", AwgnParams(n0=8.0))
         wins = 0
         for seed in range(1, 31):
             base = SimulationConfig(
