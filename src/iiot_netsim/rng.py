@@ -53,6 +53,8 @@ _SHIFT32 = np.uint64(32)
 
 
 def _check_seed(seed) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise InvalidParameterError(f"seed must be an integer, got {seed!r}")
     seed = int(seed)
     if not 0 <= seed < 2**64:
         raise InvalidParameterError("seed must fit in 64 bits")

@@ -15,6 +15,9 @@ service_rate), so end-to-end latency is
 where one_way is the deterministic per-leg delay implied by the base hop
 (propagation + transmission + processing + static queueing) and the
 server wait is the dynamic, transient part that builds up under load.
+Times are int64 counts of 2**-32 s from the tick's start: send offsets
+and service times round to the nearest unit, one_way up, so latency is
+exact and never below min_legs * one_way; only the float columns round it.
 
 Per tick, run_tick draws, then resolves.  The draw step derives the
 Philox key of every (domain, node, tick) substream it needs in one
@@ -26,14 +29,6 @@ draws concatenated in (node, packet) order and admits the tick's
 delivered packets to the server in one call, in arrival order.  Its
 records are columns (PacketColumns: one array per field), and a run
 concatenates the ticks column by column.
-
-The draws do not depend on the fading kind, so compare_fading draws each
-tick once and resolves it once per kind: every kind runs run_simulation
-on those shared draws with its own server.
-
-A run returns its per-packet columns and nothing else; reporting owns
-every summary of them (summarize_rtt, windowed_series), including the
-running mean latency that compare_fading tabulates per fading kind.
 
 Determinism: every random quantity comes from a substream keyed by
 (domain, node, tick), so runs are bit-reproducible and adding a node
@@ -82,6 +77,7 @@ from .rtt_model import HopConfig, compute_rtt
 
 PER_SLOPE_PER_DB = 1.0
 RATE_JITTER_SPAN = (0.8, 1.2)
+UNITS_PER_S = 2**32  # the time unit is 2**-32 s
 
 # a channel is its fading parameters; None is the ideal channel
 FadingParams = AwgnParams | RayleighParams | RicianParams | None
@@ -151,8 +147,8 @@ class SimulationConfig:
             raise InvalidConfigError(f"node_count must be in [1, 2**32), got {self.node_count}")
         if not 0 < self.duration_s < math.inf:
             raise InvalidConfigError(f"duration_s must be finite and > 0, got {self.duration_s}")
-        if not self.tick_s > 0:
-            raise InvalidConfigError(f"tick_s must be > 0, got {self.tick_s}")
+        if not 0 < self.tick_s < 2**31:  # so tick-local times in units fit int64
+            raise InvalidConfigError(f"tick_s must be in (0, 2**31) s, got {self.tick_s}")
         n = self.duration_s / self.tick_s
         if abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise InvalidConfigError(
@@ -187,14 +183,14 @@ class SimulationConfig:
         return int(round(self.duration_s / self.tick_s))
 
     def one_way_s(self) -> float:
-        """Deterministic per-leg delay implied by the base hop."""
-        return self._one_way_s
+        """Per-leg delay implied by the base hop, rounded up to the time unit."""
+        return self._one_way_q / UNITS_PER_S
 
     @cached_property
-    def _one_way_s(self) -> float:
-        # once per config: validation and every tick read it; not a field,
-        # so equality, hashing and replace() see only the fields
-        return compute_rtt([self.base_hop]).one_way
+    def _one_way_q(self) -> int:
+        # once per config: validation and every tick read it; not a field, so
+        # equality, hashing and replace() ignore it; capped so inf fails tick_s
+        return math.ceil(min(compute_rtt([self.base_hop]).one_way, 2.0**32) * UNITS_PER_S)
 
     def server_mu(self) -> float:
         """Central-server service rate; the base hop's service_rate doubles
@@ -262,24 +258,23 @@ class PacketColumns:
 
 @dataclass
 class CentralServer:
-    """Single FIFO exponential server; free_at persists across ticks."""
+    """Single FIFO exponential server; free_at, in units, persists across ticks."""
 
-    free_at: float = 0.0
+    free_at: int = 0
 
-    def admit(self, arrivals: list[float], services: list[float]) -> list[float]:
-        """Queue packets given in arrival order; returns their waiting times.
-
-        The Lindley recursion is sequential: a cumulative-max form rounds
-        differently.
-        """
-        free_at = self.free_at
-        waits = []
-        for arrival, service in zip(arrivals, services):
-            start = free_at if free_at > arrival else arrival
-            free_at = start + service
-            waits.append(start - arrival)
-        self.free_at = free_at
-        return waits
+    def admit(self, origin: int, arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
+        """Queue packets given in arrival order, int64 unit offsets >= 0 from
+        origin; returns their waits.  Lindley's recursion in exact max-plus
+        form, S = cumsum(s): D = S + running max of max(a - (S - s), backlog)."""
+        backlog = max(self.free_at - origin, 0)
+        # every departure is at most this sum; the margin covers its float rounding
+        if backlog + arrivals[-1:].sum(dtype=float) + services.sum(dtype=float) >= 2**63 - 2**43:
+            raise InvalidConfigError("the server's backlog overflows int64 time")
+        done = np.cumsum(services)
+        done += np.maximum.accumulate(np.maximum(arrivals - (done - services), backlog))
+        if len(done):
+            self.free_at = origin + int(done[-1])
+        return done - services - arrivals
 
 
 @dataclass
@@ -305,13 +300,9 @@ def make_state(config: SimulationConfig) -> SimulationState:
 
 
 def _leg_success_prob(config: SimulationConfig, z: np.ndarray) -> np.ndarray:
-    """Per-packet leg success probability from the channel draw, on a lossy
-    channel: fading parameters and an SNR threshold.
-
-    z is the packet's pair of standard normal quadrature draws.  awgn does
-    not read them; the tick still draws them, so the leg uniforms after
-    them stay aligned across fading kinds.
-    """
+    """Per-packet leg success probability from z, the packets' standard
+    normal quadrature pairs, on a lossy channel: fading parameters and an
+    SNR threshold (awgn does not read z)."""
     if isinstance(config.fading, AwgnParams):
         snr = np.full(z.shape[1], 1.0 / config.fading.n0)
     else:  # RayleighParams, RicianParams
@@ -334,10 +325,10 @@ class _TickDraws(NamedTuple):
     """
 
     tick_start: float
-    send: np.ndarray
+    send: np.ndarray  # int64 units from tick_start
     z: np.ndarray | None
     leg_u: np.ndarray | None
-    service: np.ndarray
+    service: np.ndarray  # int64 units
 
 
 class _RunDraws(NamedTuple):
@@ -378,9 +369,8 @@ def _draw_tick(
         jittered = float(base) * (lo + (hi - lo) * philox_random(keys[2]))
         n_pkts = np.rint(jittered).astype(np.int64).tolist()
 
-    # each node draws from its own substreams.  A lossless draw skips the
-    # channel normals and leg uniforms: they are the last draws of the
-    # packet stream, so no other draw moves.
+    # each node draws from its own substreams; a lossless draw skips the
+    # normals and leg uniforms (see the module docstring)
     leg_rows = handshake_rows(cfg.qos_level, cfg.max_retries_per_leg)
     mean_service = 1.0 / cfg.server_mu()
     u_send, z, leg_u, service = [], [], [], []
@@ -392,12 +382,16 @@ def _draw_tick(
             leg_u.append(gen.random((leg_rows, n)))
         service.append(rng.rekey(server_key).exponential(mean_service, n))
 
-    send = tick_start + np.concatenate(u_send) * (cfg.tick_s - cfg.handshake_guard_s())
+    span = cfg.tick_s - cfg.handshake_guard_s()
+    send = np.rint(np.concatenate(u_send) * span * UNITS_PER_S).astype(np.int64)
+    service = np.rint(np.concatenate(service) * UNITS_PER_S)
+    if service.max(initial=0) >= 2**63:
+        raise InvalidConfigError("a service time of 2**31 s or more overflows int64 time")
     if lossy:
         z, leg_u = np.concatenate(z, axis=1), np.concatenate(leg_u, axis=1)
     else:
         z = leg_u = None
-    return _TickDraws(tick_start, send, z, leg_u, np.concatenate(service))
+    return _TickDraws(tick_start, send, z, leg_u, service.astype(np.int64))
 
 
 def _resolve_tick(
@@ -415,17 +409,17 @@ def _resolve_tick(
     else:  # what handshake_legs returns at p = 1: every packet in the fewest legs
         delivered = np.ones(len(send), dtype=bool)
         legs = np.full(len(send), cfg.min_legs(), dtype=np.int64)
-    arrival = send + legs * cfg.one_way_s()
+    arrival = send + legs * cfg._one_way_q
 
     # exact FIFO at the server: admit in arrival order; the stable sort keeps
     # (node, packet) order among equal arrivals
     queued = np.flatnonzero(delivered)
     queued = queued[np.argsort(arrival[queued], kind="stable")]
-    arrived = arrival[queued]
-    waits = server.admit(arrived.tolist(), service[queued].tolist())
+    waits = server.admit(round(tick_start * UNITS_PER_S), arrival[queued], service[queued])
     latency = np.full(len(send), math.nan)
-    latency[queued] = (arrived - send[queued]) + waits
-    return PacketColumns(np.full(len(send), tick_start), send, legs, delivered, latency)
+    latency[queued] = ((arrival - send)[queued] + waits) / UNITS_PER_S
+    send_s = tick_start + send / UNITS_PER_S
+    return PacketColumns(np.full(len(send), tick_start), send_s, legs, delivered, latency)
 
 
 def run_tick(

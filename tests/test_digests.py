@@ -1,11 +1,11 @@
 """Pinned simulated output: the benchmark workloads and the shipped configs.
 
 Each workload's seed-401 iteration must pass the benchmark's correctness
-gate and reproduce the `sim_digest` recorded in perfbench/README.md, so a
-change that moves any simulated number, or breaks a program entry point
-the benchmark calls, fails here without a benchmark run.  Each shipped
-config, run by its command at its own seed, must reproduce the digest of
-its stdout and CSVs (the manifest is left out: it holds the wall clock).
+gate and reproduce its `sim_digest` pinned here, so a change that moves
+any simulated number, or breaks a program entry point the benchmark
+calls, fails here without a benchmark run.  Each shipped config, run by
+its command at its own seed, must reproduce the digest of its stdout and
+CSVs (the manifest is left out: it holds the wall clock).
 """
 import hashlib
 from importlib import resources
@@ -17,8 +17,8 @@ from perfbench import run, workloads
 
 SEED = 401
 DIGESTS = {
-    "fanin_many_nodes": "cb42785fcf6c38d1a76f25df32f8f1604b68bd3ad906545a014a9a685d72549a",
-    "burst_few_nodes": "d7a19a6766e08ebec654f4c75d5c9d326e3938dc7c3c02420647c764d3644bb0",
+    "fanin_many_nodes": "e8e26a14a48b26aa773fdac241d5e91dea5cc702788880271aba5e7eebf91d55",
+    "burst_few_nodes": "551af2d5aedb66817789165ab7928c368cf7aa4f17b2a435aa19d963ed9f3768",
     "fading_compare": "6c5eddbc0234a80ac292a42cfa7c3137266d90a5d9023e15c9d413dd27c0e009",
     "model_validation": "528e58499c505e232556038d697e939b624df897746e2bd1020aa21d0edec1ed",
 }
@@ -35,10 +35,10 @@ def test_seed_401_digest(name, tmp_path):
 
 SHIPPED = {
     ("simulate", "default_simulate.json"): (
-        "214b874bbdc4196b2de126389f93d5d6de8985490026eab836f345e7765ed16f"
+        "9092829644c25dbc5d97884fd2a418f1a315a56819e949cdf0e7c226a3324e53"
     ),
     ("simulate", "high_load_trend.json"): (
-        "3e1e88ee1c170c39507b455c9d2aae6553f7fd98b3bafa322fbaa490eb7fe852"
+        "30458824b7f07573dcbf6c025ef0b80a3f8a778adcbfa58f6fda996cc19de275"
     ),
     ("compare-fading", "default_compare.json"): (
         "da8b460ccd80b6ba9873724bb1cea3bde363ba12c059c7fb40cff3b25fefb7ee"

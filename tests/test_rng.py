@@ -69,6 +69,21 @@ def test_out_of_range_seed_is_a_parameter_error(seed):
         philox_keys(seed, [[1, 2, 3]])
 
 
+@pytest.mark.parametrize("seed", [42.7, 42.9, 42.0, True, np.bool_(False), "42", None])
+def test_non_integer_seed_is_a_parameter_error(seed):
+    # int() would run a float seed as its floor and a bool as 0 or 1
+    with pytest.raises(InvalidParameterError, match="seed must be an integer"):
+        RngStream(seed)
+    with pytest.raises(InvalidParameterError, match="seed must be an integer"):
+        philox_keys(seed, [[1, 2]])
+
+
+def test_numpy_integer_seeds_are_accepted():
+    for seed in (np.int64(42), np.uint64(42), np.int8(42)):
+        assert RngStream(seed).seed == 42
+        assert np.array_equal(philox_keys(seed, [[1, 2]]), philox_keys(42, [[1, 2]]))
+
+
 # Every Philox key comes from a transcription of numpy's SeedSequence mixing;
 # these pin the two together, so a numpy release that changes either fails here.
 def reference_key(seed, spawn_key) -> np.ndarray:

@@ -5,13 +5,14 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import fields, replace
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iiot_netsim import sim_engine
+from iiot_netsim import cli, sim_engine
 from iiot_netsim.channel_models import AwgnParams, RayleighParams, RicianParams, channel_gain
 from iiot_netsim.errors import InstabilityError, InvalidConfigError, InvalidParameterError
 from iiot_netsim.qos_state_machine import handshake_legs, handshake_rows
@@ -24,9 +25,10 @@ from iiot_netsim.rng import (
     RngStream,
     philox_keys,
 )
-from iiot_netsim.rtt_model import HopConfig
+from iiot_netsim.rtt_model import HopConfig, compute_rtt
 from iiot_netsim.sim_engine import (
     RATE_JITTER_SPAN,
+    UNITS_PER_S,
     CentralServer,
     FadingSpec,
     PacketColumns,
@@ -41,6 +43,7 @@ from iiot_netsim.sim_engine import (
 )
 
 SEED = 20260817
+SHIPPED = resources.files("iiot_netsim") / "configs"
 
 
 def same_columns(a: PacketColumns, b: PacketColumns) -> bool:
@@ -154,6 +157,30 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError):
             make_config(base_hop=make_hop(proc=40e-3), tick_s=1.0)
 
+    @pytest.mark.parametrize("tick_s", [0.0, -1.0, 2.0**31, math.inf])
+    def test_rejects_tick_outside_int64_time(self, tick_s):
+        with pytest.raises(InvalidConfigError, match="tick_s must be in"):
+            make_config(tick_s=tick_s)
+
+    def test_runs_the_longest_ticks(self):
+        cfg = make_config(tick_s=2.0**30, duration_s=2.0**31)
+        records = run_simulation(cfg).records
+        assert records.delivered.all()
+        assert records.latency_s.min() >= cfg.min_legs() * cfg.one_way_s()
+
+    @pytest.mark.parametrize("t,what", [(10, "the server's backlog"), (15, "a service time")])
+    def test_refuses_server_times_beyond_int64(self, t, what):
+        # stable (1 packet per 2**30 s against 1e-9 per s), but services
+        # average 1e9 s: tick 10 ends its service past 2**31 s from its
+        # start, and tick 15 draws a service of more than 2**31 s
+        hop = replace(make_hop(proc=0.0), service_rate=1e-9, arrival_rate=1e-12)
+        cfg = make_config(
+            node_count=1, tick_s=2.0**30, duration_s=2.0**34, base_hop=hop,
+            packets_per_node_per_tick=1, qos_level=0, max_retries_per_leg=0,
+        )
+        with pytest.raises(InvalidConfigError, match=f"^{what} .*overflows int64 time"):
+            run_tick(make_state(cfg), t)
+
     def test_rejects_negative_growth(self):
         with pytest.raises(InvalidConfigError):
             make_config(rate_growth_per_tick=-0.01)
@@ -168,6 +195,8 @@ class TestConfigValidation:
             {"rate_growth_per_tick": 1e308},
             {"packets_per_node_per_tick": 0, "rate_growth_per_tick": 1e308},
             {"fading": RayleighParams(1.0), "noise_n0": math.inf},
+            # finite hop fields whose one_way overflows to inf
+            {"base_hop": replace(make_hop(), distance=1e300, propagation_speed=1e-10)},
         ],
     )
     def test_rejects_non_finite(self, overrides):
@@ -273,16 +302,52 @@ class TestStabilityGate:
         make_state(cfg)
 
 
+def units(*seconds) -> np.ndarray:
+    return np.array([round(s * UNITS_PER_S) for s in seconds], dtype=np.int64)
+
+
+# packet times in units: a few apart, so ties and zero services are common,
+# or anywhere in 2**40
+PACKET_TIMES = st.one_of(st.integers(0, 4), st.integers(0, 2**40))
+
+
 class TestCentralServer:
     def test_fifo_wait_accounting(self):
         srv = CentralServer()
         # the second arrival at t=1 waits until t=2; once the backlog
         # clears, the arrival at t=5 is served at once
-        assert srv.admit([0.0, 1.0, 5.0], [2.0, 1.0, 1.0]) == [0.0, 1.0, 0.0]
-        # the backlog carries over to the next batch (next tick)
-        assert srv.free_at == 6.0
-        assert srv.admit([5.5, 8.0], [1.0, 1.0]) == [0.5, 0.0]
-        assert srv.admit([], []) == [] and srv.free_at == 9.0
+        assert srv.admit(0, units(0, 1, 5), units(2, 1, 1)).tolist() == units(0, 1, 0).tolist()
+        # the backlog carries over to the next batch (next tick), whose
+        # arrivals 5.5 and 8 are offsets from its start at 5
+        assert srv.free_at == 6 * UNITS_PER_S
+        assert srv.admit(units(5), units(0.5, 3), units(1, 1)).tolist() == units(0.5, 0).tolist()
+        assert srv.admit(units(9), units(), units()).tolist() == []
+        assert srv.free_at == 9 * UNITS_PER_S
+
+    @given(
+        batches=st.lists(
+            st.tuples(
+                # the next origin: soon (a backlog carries over) or after an
+                # idle gap, past int64 once several gaps add up
+                st.one_of(st.integers(0, 4), st.integers(0, 2**62)),
+                st.lists(st.tuples(PACKET_TIMES, PACKET_TIMES), max_size=8),
+            ),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_admit_equals_the_sequential_recursion(self, batches):
+        srv, free_at, origin = CentralServer(), 0, 0
+        for gap, packets in batches:
+            origin += gap
+            arrivals = np.sort(np.array([a for a, _ in packets], dtype=np.int64))
+            services = np.array([s for _, s in packets], dtype=np.int64)
+            want, free_at = lindley_waits(
+                free_at, [origin + a for a in arrivals.tolist()], services.tolist()
+            )
+            got = srv.admit(origin, arrivals, services)
+            assert got.dtype == np.int64 and got.tolist() == want
+            assert srv.free_at == free_at
 
 
 class TestRunTick:
@@ -325,14 +390,29 @@ class TestRunTick:
 DOMAINS = (DOMAIN_PACKET, DOMAIN_SERVER, DOMAIN_RATE_JITTER)
 
 
+def lindley_waits(free_at: int, arrivals, services) -> tuple[list[int], int]:
+    """The FIFO server's recursion, one packet at a time on Python ints:
+    (waits, free_at after them) for absolute arrivals in arrival order."""
+    waits = []
+    for arrival, service in zip(arrivals, services):
+        start = max(free_at, arrival)
+        free_at = start + service
+        waits.append(start - arrival)
+    return waits, free_at
+
+
 def ref_run_tick(state, t, jitter_u=None) -> PacketColumns:
     """run_tick as a plain per-node loop: every node re-keys a stream for its
     jitter, its packets and its server, draws send times, channel normals
     and leg uniforms whatever the channel, and the handshake always runs.
-    jitter_u, if given, stands in for the jitter streams' uniforms."""
+    Times are quantized to 2**-32 s as the engine does, and the server is
+    the sequential Lindley loop.  jitter_u, if given, stands in for the
+    jitter streams' uniforms."""
     cfg = state.config
+    unit = 2**32
+    one_way_q = math.ceil(compute_rtt([cfg.base_hop]).one_way * unit)
     tick_start = (t - 1) * cfg.tick_s
-    span = cfg.tick_s - cfg.handshake_guard_s()
+    span = cfg.tick_s - cfg.max_total_legs() * one_way_q / unit
     leg_rows = handshake_rows(cfg.qos_level, cfg.max_retries_per_leg)
     base = cfg.rate_at_tick(t)
     lo, hi = RATE_JITTER_SPAN
@@ -359,15 +439,21 @@ def ref_run_tick(state, t, jitter_u=None) -> PacketColumns:
     delivered, legs = handshake_legs(
         cfg.qos_level, p_leg, np.concatenate(leg_u, axis=1), cfg.max_retries_per_leg
     )
-    send = tick_start + np.concatenate(u_send) * span
-    arrival = send + legs * cfg.one_way_s()
+    send = np.rint(np.concatenate(u_send) * span * unit).astype(np.int64)
+    service = np.rint(np.concatenate(service) * unit).astype(np.int64)
+    origin = round(tick_start * unit)
+    arrival = send + legs * one_way_q
     queued = np.flatnonzero(delivered)
     queued = queued[np.argsort(arrival[queued], kind="stable")]
-    arrived = arrival[queued]
-    waits = state.server.admit(arrived.tolist(), np.concatenate(service)[queued].tolist())
+    arrived = [origin + a for a in arrival[queued].tolist()]
+    waits, state.server.free_at = lindley_waits(
+        state.server.free_at, arrived, service[queued].tolist()
+    )
     latency = np.full(len(send), math.nan)
-    latency[queued] = (arrived - send[queued]) + waits
-    return PacketColumns(np.full(len(send), tick_start), send, legs, delivered, latency)
+    for i, wait in zip(queued.tolist(), waits):
+        latency[i] = (int(legs[i]) * one_way_q + wait) / unit
+    send_s = tick_start + send / unit
+    return PacketColumns(np.full(len(send), tick_start), send_s, legs, delivered, latency)
 
 
 CHANNELS = [
@@ -537,7 +623,20 @@ class TestConservationAndInvariants:
         floor = cfg.min_legs() * cfg.one_way_s()
         res = run_simulation(cfg)
         lat = [r.latency_s for r in res.records if r.delivered]
-        assert min(lat) >= floor - 1e-15
+        assert min(lat) >= floor
+
+    @pytest.mark.parametrize("lossy", [False, True])
+    @pytest.mark.parametrize("t", [2, 2**19 - 1, 2**19, 2**20])
+    def test_latency_floor_late_ticks(self, t, lossy):
+        # the shipped config run for 2**20 s; a float clock adding travel to
+        # send times near 2**19 s undershot the floor for most packets
+        doc = cli.load_config_doc(str(SHIPPED / "default_simulate.json"))
+        cfg = cli.build_config({**doc, "duration_s": 2.0**20})[0]
+        if lossy:
+            cfg = with_channel(replace(cfg, snr_threshold_db=-10.0), CHANNELS[2])
+        records = run_tick(make_state(cfg), t)
+        assert records.delivered.sum() > 250
+        assert records.latency_s[records.delivered].min() >= cfg.min_legs() * cfg.one_way_s()
 
     def test_summary_order(self):
         s = summarize_rtt(run_simulation(make_config()).records)
