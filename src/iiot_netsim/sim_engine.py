@@ -19,11 +19,12 @@ Times are int64 counts of 2**-32 s from the tick's start: send offsets
 and service times round to the nearest unit, one_way up, so latency is
 exact and never below min_legs * one_way; only the float columns round it.
 
-Per tick, run_tick draws, then resolves.  The draw step derives the
-Philox key of every (domain, node, tick) substream it needs in one
-rng.philox_keys pass, and every node's rate jitter (its jitter stream's
-first uniform) in one rng.philox_random pass; each node then only re-keys
-the run's one generator for its packet and server streams and draws.
+Per tick, run_tick draws, then resolves.  A run keys one Philox
+generator once; substream (domain, node, tick) is the counter
+(0, domain, node, tick) under that key (rng.SubstreamGenerator).  The
+draw step takes every node's rate jitter (its jitter stream's first
+uniform) in one rng.philox_random pass; each node then moves the run's
+generator to its packet and server streams and draws.
 The resolve step evaluates the channel and the handshake once on those
 draws concatenated in (node, packet) order and admits the tick's
 delivered packets to the server in one call, in arrival order.  Its
@@ -68,9 +69,9 @@ from .rng import (
     DOMAIN_PACKET,
     DOMAIN_RATE_JITTER,
     DOMAIN_SERVER,
-    RekeyableGenerator,
+    RngStream,
+    SubstreamGenerator,
     _check_seed,
-    philox_keys,
     philox_random,
 )
 from .rtt_model import HopConfig, compute_rtt
@@ -142,7 +143,7 @@ class SimulationConfig:
             _check_seed(self.seed)
         except InvalidParameterError as e:
             raise InvalidConfigError(str(e)) from None
-        # node and tick are 32-bit components of the substream ids (rng.philox_keys)
+        # node_count and the tick count are bounded so absurd sizes exit 2 before any allocation
         if not 1 <= self.node_count < 2**32:
             raise InvalidConfigError(f"node_count must be in [1, 2**32), got {self.node_count}")
         if not 0 < self.duration_s < math.inf:
@@ -281,7 +282,7 @@ class CentralServer:
 class SimulationState:
     config: SimulationConfig
     server: CentralServer
-    rng: RekeyableGenerator  # this run's own, re-keyed for every substream
+    rng: SubstreamGenerator  # this run's own, moved to every substream
 
 
 @dataclass(frozen=True)
@@ -296,7 +297,8 @@ def make_state(config: SimulationConfig) -> SimulationState:
     """Validate peak load against server capacity and set up run state."""
     if config.offered_rate_max() > 0:
         QueueParams(lam=config.offered_rate_max(), mu=config.server_mu()).require_stable()
-    return SimulationState(config=config, server=CentralServer(), rng=RekeyableGenerator())
+    rng = SubstreamGenerator(RngStream(config.seed).key)
+    return SimulationState(config=config, server=CentralServer(), rng=rng)
 
 
 def _leg_success_prob(config: SimulationConfig, z: np.ndarray) -> np.ndarray:
@@ -344,7 +346,7 @@ _CHANNEL_FIELDS = frozenset({"fading", "noise_n0"})
 
 
 def _draw_tick(
-    cfg: SimulationConfig, rng: RekeyableGenerator, t: int, lossy: bool
+    cfg: SimulationConfig, rng: SubstreamGenerator, t: int, lossy: bool
 ) -> _TickDraws:
     """Draw tick t: send times and service times, plus the channel normals
     and leg uniforms when lossy.
@@ -355,18 +357,14 @@ def _draw_tick(
     tick_start = (t - 1) * float(cfg.tick_s)  # a float column even for an int tick_s
     base = cfg.rate_at_tick(t)
 
-    # one key pass: keys[d][i] is the key of substream (domains[d], node i + 1, t)
-    domains = [DOMAIN_PACKET, DOMAIN_SERVER]
-    if cfg.rate_jitter:
-        domains.append(DOMAIN_RATE_JITTER)
-    spawn = np.broadcast_arrays(np.array(domains)[:, None], np.arange(1, cfg.node_count + 1), t)
-    keys = philox_keys(cfg.seed, np.stack(spawn, axis=-1))
     n_pkts = [base] * cfg.node_count
     if cfg.rate_jitter:
         # each node's jitter is its stream's first uniform, for all nodes in
         # one pass; rint rounds half to even, as round does
+        nodes = np.arange(1, cfg.node_count + 1)
+        ids = np.stack(np.broadcast_arrays(DOMAIN_RATE_JITTER, nodes, t), axis=-1)
         lo, hi = RATE_JITTER_SPAN
-        jittered = float(base) * (lo + (hi - lo) * philox_random(keys[2]))
+        jittered = float(base) * (lo + (hi - lo) * philox_random(rng.key, ids))
         n_pkts = np.rint(jittered).astype(np.int64).tolist()
 
     # each node draws from its own substreams; a lossless draw skips the
@@ -374,13 +372,13 @@ def _draw_tick(
     leg_rows = handshake_rows(cfg.qos_level, cfg.max_retries_per_leg)
     mean_service = 1.0 / cfg.server_mu()
     u_send, z, leg_u, service = [], [], [], []
-    for packet_key, server_key, n in zip(keys[0].tolist(), keys[1].tolist(), n_pkts):
-        gen = rng.rekey(packet_key)
+    for node, n in enumerate(n_pkts, 1):
+        gen = rng.at((DOMAIN_PACKET, node, t))
         u_send.append(gen.random(n))
         if lossy:
             z.append(gen.standard_normal((2, n)))
             leg_u.append(gen.random((leg_rows, n)))
-        service.append(rng.rekey(server_key).exponential(mean_service, n))
+        service.append(rng.at((DOMAIN_SERVER, node, t)).exponential(mean_service, n))
 
     span = cfg.tick_s - cfg.handshake_guard_s()
     send = np.rint(np.concatenate(u_send) * span * UNITS_PER_S).astype(np.int64)

@@ -17,9 +17,9 @@ from perfbench import run, workloads
 
 SEED = 401
 DIGESTS = {
-    "fanin_many_nodes": "e8e26a14a48b26aa773fdac241d5e91dea5cc702788880271aba5e7eebf91d55",
-    "burst_few_nodes": "551af2d5aedb66817789165ab7928c368cf7aa4f17b2a435aa19d963ed9f3768",
-    "fading_compare": "6c5eddbc0234a80ac292a42cfa7c3137266d90a5d9023e15c9d413dd27c0e009",
+    "fanin_many_nodes": "c36c34691947fa481fd6924b1b3eb731e5f77f2ced157ebaf25f821c283c67d8",
+    "burst_few_nodes": "3fbae0de6e673535134313bda7270e5a930077b62707a67012972c43aecb406e",
+    "fading_compare": "97bb733739455c12b1e1ae4f97ef62ede9a1b9b6fc2de833cac35b0d778c620e",
     "model_validation": "528e58499c505e232556038d697e939b624df897746e2bd1020aa21d0edec1ed",
 }
 
@@ -35,13 +35,13 @@ def test_seed_401_digest(name, tmp_path):
 
 SHIPPED = {
     ("simulate", "default_simulate.json"): (
-        "9092829644c25dbc5d97884fd2a418f1a315a56819e949cdf0e7c226a3324e53"
+        "17772ee194e6ad3505f72bad610862c40fdb4c2b19e9bfea0919630bec4b573e"
     ),
     ("simulate", "high_load_trend.json"): (
-        "30458824b7f07573dcbf6c025ef0b80a3f8a778adcbfa58f6fda996cc19de275"
+        "8d17b4e857c6939d03e4c176461a38caa6eaf40568e565cab5a0715d7d19c374"
     ),
     ("compare-fading", "default_compare.json"): (
-        "da8b460ccd80b6ba9873724bb1cea3bde363ba12c059c7fb40cff3b25fefb7ee"
+        "dbdc04b4c53ace5217e8fac86fd606388a7818c65b16b8373af1b218f9f7e871"
     ),
 }
 

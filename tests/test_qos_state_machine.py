@@ -187,7 +187,8 @@ def test_qos2_delegates():
         max_retries_per_leg=2,
     )
     records = run_simulation(cfg).records
-    gen = RngStream(SEED).child(DOMAIN_PACKET, 1, 1).gen
+    counter = np.array([0, DOMAIN_PACKET, 1, 1], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=RngStream(SEED).key, counter=counter))
     gen.random(n)  # send times
     h = channel_gain(cfg.fading, gen.standard_normal((2, n)))
     leg_u = gen.random((handshake_rows(2, 2), n))

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from iiot_netsim import cli
 from iiot_netsim.errors import InvalidConfigError, InvalidParameterError
 from iiot_netsim.rng import (
-    RekeyableGenerator,
     RngStream,
+    SubstreamGenerator,
     _mulhilo,
     _philox_block,
-    philox_keys,
     philox_random,
 )
 
@@ -65,8 +64,6 @@ def test_seed_validation():
 def test_out_of_range_seed_is_a_parameter_error(seed):
     with pytest.raises(InvalidParameterError):
         RngStream(seed)
-    with pytest.raises(InvalidParameterError):
-        philox_keys(seed, [[1, 2, 3]])
 
 
 @pytest.mark.parametrize("seed", [42.7, 42.9, 42.0, True, np.bool_(False), "42", None])
@@ -74,18 +71,32 @@ def test_non_integer_seed_is_a_parameter_error(seed):
     # int() would run a float seed as its floor and a bool as 0 or 1
     with pytest.raises(InvalidParameterError, match="seed must be an integer"):
         RngStream(seed)
-    with pytest.raises(InvalidParameterError, match="seed must be an integer"):
-        philox_keys(seed, [[1, 2]])
 
 
 def test_numpy_integer_seeds_are_accepted():
     for seed in (np.int64(42), np.uint64(42), np.int8(42)):
         assert RngStream(seed).seed == 42
-        assert np.array_equal(philox_keys(seed, [[1, 2]]), philox_keys(42, [[1, 2]]))
+        assert np.array_equal(RngStream(seed, (1, 2)).key, RngStream(42, (1, 2)).key)
 
 
-# Every Philox key comes from a transcription of numpy's SeedSequence mixing;
-# these pin the two together, so a numpy release that changes either fails here.
+@pytest.mark.parametrize("component", [2.5, 2.0, True, np.bool_(True), np.float64(3.9), None])
+def test_non_integer_stream_id_component_is_a_parameter_error(component):
+    # int() would run child(2.5) as child(2) and child(True) as child(1)
+    with pytest.raises(InvalidParameterError, match="integers or strings"):
+        RngStream(1).child(component)
+    with pytest.raises(InvalidParameterError, match="integers or strings"):
+        RngStream(1, (0, component))
+
+
+def test_numpy_integer_components_are_accepted():
+    assert RngStream(1).child(np.int64(2), np.uint8(3)).stream_id == (2, 3)
+    np.testing.assert_array_equal(
+        RngStream(1).child(np.uint64(2)).gen.random(4), RngStream(1).child(2).gen.random(4)
+    )
+
+
+# RngStream's generator is numpy's Philox under numpy's seed sequence; these
+# are the references its key and its draws are pinned to.
 def reference_key(seed, spawn_key) -> np.ndarray:
     ss = np.random.SeedSequence(seed, spawn_key=tuple(int(c) for c in spawn_key))
     return ss.generate_state(2, np.uint64)
@@ -96,53 +107,21 @@ def reference_gen(seed, spawn_key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-COMPONENT = st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**64 - 1),
-    spawn_keys=st.integers(0, 5).flatmap(
-        lambda m: st.lists(st.lists(COMPONENT, min_size=m, max_size=m), min_size=1, max_size=8)
-    ),
-    dtype=st.sampled_from([np.uint32, np.int64, np.uint64]),
-)
-@example(seed=0, spawn_keys=[[0, 0, 0]], dtype=np.int64)
-@example(seed=1, spawn_keys=[[1, 1, 1]], dtype=np.int64)
-@example(seed=2**32, spawn_keys=[[3, 600, 2**32 - 1]], dtype=np.int64)
-@example(seed=2**64 - 1, spawn_keys=[[2**32 - 1, 2**32 - 1, 2**32 - 1]], dtype=np.uint64)
-@example(seed=401, spawn_keys=[[], []], dtype=np.int64)  # RngStream(seed) with no child
-@example(seed=401, spawn_keys=[[1, 7, 5], [3, 600, 1]], dtype=np.int64)
-def test_philox_keys_match_seed_sequence(seed, spawn_keys, dtype):
-    keys = philox_keys(seed, np.array(spawn_keys, dtype=dtype))
-    assert keys.dtype == np.uint64 and keys.shape == (len(spawn_keys), 2)
-    for row, key in zip(spawn_keys, keys):
-        np.testing.assert_array_equal(key, reference_key(seed, row))
-
-
 @pytest.mark.parametrize("width", [0, 1, 2, 3, 4, 5])
 @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 - 1])
 def test_philox_keys_every_spawn_key_width(seed, width):
-    rows = np.array(
-        [[0] * width, [2**32 - 1] * width, list(range(width)), [2**32 - 1, 0, 7, 2**32 - 1, 0][:width]],
-        dtype=np.uint64,
-    )
-    for row, key in zip(rows, philox_keys(seed, rows)):
+    # RngStream.key, the Philox key a simulation run is keyed with, at ids
+    # of every width, with components on and past the 32-bit word edges
+    edges = [2**64 - 1, 0, 7, 2**32, 0][:width]
+    for row in ([0] * width, [2**32 - 1] * width, list(range(width)), edges):
+        key = RngStream(seed, row).key
+        assert key.dtype == np.uint64 and key.shape == (2,)
         np.testing.assert_array_equal(key, reference_key(seed, row))
 
 
-def test_philox_keys_shape_follows_batch_shape():
-    spawn = np.stack(np.broadcast_arrays(np.array([3, 1, 2])[:, None], np.arange(1, 5), 9), -1)
-    keys = philox_keys(401, spawn)
-    assert keys.shape == (3, 4, 2)
-    np.testing.assert_array_equal(keys[1, 2], reference_key(401, (1, 3, 9)))
-    np.testing.assert_array_equal(philox_keys(401, (1, 3, 9)), reference_key(401, (1, 3, 9)))
-    assert philox_keys(401, np.zeros((0, 3), dtype=np.int64)).shape == (0, 2)
-
-
 def test_config_rejects_node_and_tick_ids_above_32_bits():
-    # node and tick are 32-bit words of the simulator's (domain, node, tick)
-    # ids, so a config that would need a wider one is refused, never wrapped
+    # the bounds on node_count and the tick count refuse absurd sizes (exit 2)
+    # before anything is allocated; the edge ids address substreams as usual
     cfg = cli.build_config(json.loads(SHIPPED_SIMULATE.read_text()))[0]
     edge = replace(cfg, node_count=2**32 - 1, duration_s=(2**32 - 1) * cfg.tick_s)
     assert (edge.node_count, edge.n_ticks()) == (2**32 - 1, 2**32 - 1)
@@ -150,47 +129,9 @@ def test_config_rejects_node_and_tick_ids_above_32_bits():
         replace(cfg, node_count=2**32)
     with pytest.raises(InvalidConfigError, match="2\\*\\*32 ticks"):
         replace(cfg, duration_s=2**32 * cfg.tick_s)
-    np.testing.assert_array_equal(
-        philox_keys(7, [[1, 4, 2**32 - 1]])[0], reference_key(7, (1, 4, 2**32 - 1))
-    )
-
-
-@pytest.mark.parametrize(
-    "spawn_keys",
-    [
-        [[1, -2, 3]],
-        [[1.0, 2.0]],
-        [[2**64, 1]],
-        [[2**63, 1]],
-        5,
-        # components are 32-bit words: wider ones are refused, never wrapped or split
-        [[2**32]],
-        [[1, 4, 2**32 + 5]],
-        np.array([[1, 4, 2**32]], dtype=np.uint64),
-        np.array([[2**64 - 1]], dtype=np.uint64),
-        np.array([[3, -(2**31)]], dtype=np.int32),
-        np.array([[True, True]]),
-    ],
-)
-def test_philox_keys_rejects_what_it_cannot_encode(spawn_keys):
-    with pytest.raises(InvalidParameterError):
-        philox_keys(1, spawn_keys)
-
-
-@pytest.mark.parametrize("n", [1, 3, 1000])
-def test_rekeyed_generator_draws_like_a_fresh_stream(n):
-    ids = [(1, 5, 7), (2, 600, 2**32 - 1)]
-    keys = philox_keys(401, np.array(ids, dtype=np.uint64))
-    rng = RekeyableGenerator()
-
-    def draws(gen):
-        return gen.random(n), gen.standard_normal((2, n)), gen.exponential(0.5, n)
-
-    # both orders, so no key's draws depend on what the previous key left behind
-    for order in ([0, 1], [1, 0], [0, 0]):
-        for i in order:
-            for got, want in zip(draws(rng.rekey(keys[i])), draws(reference_gen(401, ids[i]))):
-                np.testing.assert_array_equal(got, want)
+    key = RngStream(edge.seed).key
+    edge_id = (1, 2**32 - 1, 2**32 - 1)
+    assert SubstreamGenerator(key).at(edge_id).random() == plain_philox(key, edge_id).random()
 
 
 # the examples include every stream id the program builds through RngStream
@@ -213,11 +154,21 @@ def test_stream_draws_match_seed_sequence(seed, stream_id):
     np.testing.assert_array_equal(stream.gen.standard_normal(3), want.standard_normal(3))
 
 
-# The numpy Philox4x64-10 core gives run_tick every node's rate jitter in one
-# pass; these pin it to numpy's Philox, the generator each draw replaces.
+# A run addresses substream (domain, node, tick) as the counter
+# (0, domain, node, tick) under one key; these pin SubstreamGenerator,
+# philox_random and the numpy Philox4x64-10 core to a plain numpy Philox
+# built at that counter.
 WORD = st.one_of(
-    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 2, 2**64 - 1]),
+    st.integers(0, 2**64 - 1),
 )
+KEY = st.tuples(WORD, WORD)
+STREAM_ID = st.tuples(WORD, WORD, WORD)
+
+
+def plain_philox(key, stream_id) -> np.random.Generator:
+    key, counter = np.array(key, dtype=np.uint64), np.array([0, *stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 @settings(max_examples=200, deadline=None)
@@ -230,25 +181,78 @@ def test_mulhilo_is_the_128_bit_product(a, b):
 
 
 @settings(max_examples=200, deadline=None)
-@given(keys=st.lists(st.tuples(WORD, WORD), min_size=1, max_size=6))
-@example(keys=[(0, 0)])
-@example(keys=[(2**64 - 1, 2**64 - 1)])
+@given(key=KEY, counters=st.lists(st.tuples(WORD, WORD, WORD, WORD), min_size=1, max_size=6))
+@example(key=(0, 0), counters=[(0, 0, 0, 0)])
+@example(key=(2**64 - 1, 2**64 - 1), counters=[(2**64 - 1,) * 4])
 # the second round multiplies the key words themselves, and (2**32 - 1) times
 # the first round multiplier carries out of the low 32-bit halves
-@example(keys=[(2**32 - 1, 2**32 - 1)])
-def test_philox_core_matches_numpy_philox(keys):
-    array = np.array(keys, dtype=np.uint64)
-    blocks, uniforms = _philox_block(array), philox_random(array)
-    assert blocks.shape == (len(keys), 4) and uniforms.shape == (len(keys),)
-    for key, block, u in zip(array, blocks, uniforms):
-        np.testing.assert_array_equal(block, np.random.Philox(key=key).random_raw(4))
-        assert u == np.random.Generator(np.random.Philox(key=key)).random()
+@example(key=(2**32 - 1, 2**32 - 1), counters=[(1, 0, 0, 0)])
+# numpy's counter increment carries out of every word
+@example(key=(1, 2), counters=[(2**64 - 1, 2**64 - 1, 2**64 - 1, 5)])
+def test_philox_core_matches_numpy_philox(key, counters):
+    # numpy increments its counter before each block, so the block numpy
+    # outputs from counter c is the one at c + 1, carried across the words
+    at = []
+    for c in counters:
+        value = sum(w << 64 * i for i, w in enumerate(c)) + 1
+        at.append([value >> 64 * i & (2**64 - 1) for i in range(4)])
+    key = np.array(key, dtype=np.uint64)
+    blocks = _philox_block(key, np.array(at, dtype=np.uint64))
+    assert blocks.shape == (len(counters), 4) and blocks.dtype == np.uint64
+    for c, block in zip(counters, blocks):
+        want = np.random.Philox(key=key, counter=np.array(c, dtype=np.uint64)).random_raw(4)
+        np.testing.assert_array_equal(block, want)
 
 
-def test_philox_random_follows_the_key_batch_shape():
-    spawn = np.broadcast_arrays(np.array([1, 3])[:, None], np.arange(1, 4), 9)
-    keys = philox_keys(401, np.stack(spawn, axis=-1))
-    u = philox_random(keys)
+@settings(max_examples=100, deadline=None)
+@given(key=KEY, ids=st.lists(STREAM_ID, min_size=1, max_size=6))
+@example(key=(0, 0), ids=[(0, 0, 0)])
+@example(key=(2**64 - 1, 2**64 - 1), ids=[(2**64 - 1, 2**64 - 1, 2**64 - 1)])
+@example(key=(1, 2), ids=[(1, 7, 5), (3, 600, 2**32 - 1)])
+def test_philox_random_matches_plain_philox(key, ids):
+    u = philox_random(np.array(key, dtype=np.uint64), np.array(ids, dtype=np.uint64))
+    assert u.shape == (len(ids),) and u.dtype == np.float64
+    for stream_id, got in zip(ids, u):
+        assert got == plain_philox(key, stream_id).random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=KEY, ids=st.lists(STREAM_ID, min_size=1, max_size=4), n=st.sampled_from([1, 3, 1000]))
+@example(key=(401, 7), ids=[(1, 5, 7), (2, 600, 2**32 - 1), (1, 5, 7)], n=1000)
+@example(key=(0, 0), ids=[(2**64 - 1, 2**64 - 1, 2**64 - 1), (0, 0, 0)], n=3)
+def test_substream_generator_matches_plain_philox(key, ids, n):
+    # one generator visits the ids in turn, so no stream's draws may depend
+    # on what the previous one left in the buffer
+    rng = SubstreamGenerator(np.array(key, dtype=np.uint64))
+
+    def draws(gen):
+        return gen.random(n), gen.standard_normal((2, n)), gen.exponential(0.5, n)
+
+    for stream_id in ids:
+        for got, want in zip(draws(rng.at(stream_id)), draws(plain_philox(key, stream_id))):
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 3, 1000])
+def test_rekeyed_generator_draws_like_a_fresh_stream(n):
+    key = RngStream(401).key
+    ids = [(1, 5, 7), (2, 600, 2**32 - 1)]
+    rng = SubstreamGenerator(key)
+
+    def draws(gen):
+        return gen.random(n), gen.standard_normal((2, n)), gen.exponential(0.5, n)
+
+    # both orders, so no stream's draws depend on what the previous one left behind
+    for order in ([0, 1], [1, 0], [0, 0]):
+        for i in order:
+            for got, want in zip(draws(rng.at(ids[i])), draws(plain_philox(key, ids[i]))):
+                np.testing.assert_array_equal(got, want)
+
+
+def test_philox_random_follows_the_id_batch_shape():
+    key = RngStream(401).key
+    ids = np.stack(np.broadcast_arrays(np.array([1, 3])[:, None], np.arange(1, 4), 9), axis=-1)
+    u = philox_random(key, ids)
     assert u.shape == (2, 3) and u.dtype == np.float64
-    assert u[1, 2] == RngStream(401, (3, 3, 9)).gen.random()
-    assert philox_random(np.zeros((0, 2), dtype=np.uint64)).shape == (0,)
+    assert u[1, 2] == SubstreamGenerator(key).at((3, 3, 9)).random()
+    assert philox_random(key, np.zeros((0, 3), dtype=np.int64)).shape == (0,)

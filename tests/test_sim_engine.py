@@ -21,9 +21,8 @@ from iiot_netsim.rng import (
     DOMAIN_PACKET,
     DOMAIN_RATE_JITTER,
     DOMAIN_SERVER,
-    RekeyableGenerator,
     RngStream,
-    philox_keys,
+    SubstreamGenerator,
 )
 from iiot_netsim.rtt_model import HopConfig, compute_rtt
 from iiot_netsim.sim_engine import (
@@ -168,11 +167,13 @@ class TestConfigValidation:
         assert records.delivered.all()
         assert records.latency_s.min() >= cfg.min_legs() * cfg.one_way_s()
 
-    @pytest.mark.parametrize("t,what", [(10, "the server's backlog"), (15, "a service time")])
+    @pytest.mark.parametrize(
+        "t,what", [(4, "the server's backlog"), (8, "a service time")], ids=["backlog", "service"]
+    )
     def test_refuses_server_times_beyond_int64(self, t, what):
         # stable (1 packet per 2**30 s against 1e-9 per s), but services
-        # average 1e9 s: tick 10 ends its service past 2**31 s from its
-        # start, and tick 15 draws a service of more than 2**31 s
+        # average 1e9 s: tick 4 ends its service past 2**31 s from its
+        # start, and tick 8 draws a service of more than 2**31 s
         hop = replace(make_hop(proc=0.0), service_rate=1e-9, arrival_rate=1e-12)
         cfg = make_config(
             node_count=1, tick_s=2.0**30, duration_s=2.0**34, base_hop=hop,
@@ -402,9 +403,11 @@ def lindley_waits(free_at: int, arrivals, services) -> tuple[list[int], int]:
 
 
 def ref_run_tick(state, t, jitter_u=None) -> PacketColumns:
-    """run_tick as a plain per-node loop: every node re-keys a stream for its
-    jitter, its packets and its server, draws send times, channel normals
-    and leg uniforms whatever the channel, and the handshake always runs.
+    """run_tick as a plain per-node loop: every node builds a plain numpy
+    Philox for its jitter, its packets and its server, at the substream's
+    counter (0, domain, node, t) under the run's key (RngStream(seed).key),
+    draws send times, channel normals and leg uniforms whatever the
+    channel, and the handshake always runs.
     Times are quantized to 2**-32 s as the engine does, and the server is
     the sequential Lindley loop.  jitter_u, if given, stands in for the
     jitter streams' uniforms."""
@@ -417,20 +420,25 @@ def ref_run_tick(state, t, jitter_u=None) -> PacketColumns:
     base = cfg.rate_at_tick(t)
     lo, hi = RATE_JITTER_SPAN
     mean_service = 1.0 / cfg.server_mu()
+    key = RngStream(cfg.seed).key
     u_send, z, leg_u, service = [], [], [], []
     for node in range(1, cfg.node_count + 1):
-        key = {d: philox_keys(cfg.seed, [[d, node, t]])[0] for d in DOMAINS}
+        gen = {
+            d: np.random.Generator(
+                np.random.Philox(key=key, counter=np.array([0, d, node, t], dtype=np.uint64))
+            )
+            for d in DOMAINS
+        }
         n_pkts = base
         if cfg.rate_jitter:
-            u = state.rng.rekey(key[DOMAIN_RATE_JITTER]).random()
+            u = gen[DOMAIN_RATE_JITTER].random()
             if jitter_u is not None:
                 u = jitter_u[node - 1]
             n_pkts = int(round(base * (lo + (hi - lo) * u)))
-        gen = state.rng.rekey(key[DOMAIN_PACKET])
-        u_send.append(gen.random(n_pkts))
-        z.append(gen.standard_normal((2, n_pkts)))
-        leg_u.append(gen.random((leg_rows, n_pkts)))
-        service.append(state.rng.rekey(key[DOMAIN_SERVER]).exponential(mean_service, n_pkts))
+        u_send.append(gen[DOMAIN_PACKET].random(n_pkts))
+        z.append(gen[DOMAIN_PACKET].standard_normal((2, n_pkts)))
+        leg_u.append(gen[DOMAIN_PACKET].random((leg_rows, n_pkts)))
+        service.append(gen[DOMAIN_SERVER].exponential(mean_service, n_pkts))
 
     z = np.concatenate(z, axis=1)
     p_leg = np.ones(z.shape[1])
@@ -526,7 +534,7 @@ class TestTickMatchesPerNodeReference:
         lo, hi = RATE_JITTER_SPAN
         u = [0.25, 0.7500000000000003]
         assert [5.0 * (lo + (hi - lo) * x) for x in u] == [4.5, 5.5]
-        monkeypatch.setattr(sim_engine, "philox_random", lambda keys: np.array(u))
+        monkeypatch.setattr(sim_engine, "philox_random", lambda key, ids: np.array(u))
         cfg = make_config(node_count=2, packets_per_node_per_tick=5, rate_jitter=True)
         got = run_tick(make_state(cfg), 1)
         assert len(got) == 4 + 6
@@ -544,16 +552,16 @@ class _RecordingGenerator:
         return getattr(self._gen, name)
 
 
-class CountingRekeyableGenerator(RekeyableGenerator):
-    """Records, per rekey, the draws made on the stream it keyed."""
+class RecordingSubstreamGenerator(SubstreamGenerator):
+    """Records, per at(), the draws made on the substream it moved to."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, key):
+        super().__init__(key)
         self.streams: list[list[str]] = []
 
-    def rekey(self, key):
+    def at(self, stream_id):
         self.streams.append([])
-        return _RecordingGenerator(super().rekey(key), self.streams[-1])
+        return _RecordingGenerator(super().at(stream_id), self.streams[-1])
 
 
 class TestDrawsPerNode:
@@ -565,7 +573,7 @@ class TestDrawsPerNode:
     def streams(self, **overrides) -> list[list[str]]:
         cfg = make_config(node_count=self.NODES, packets_per_node_per_tick=3, **overrides)
         state = make_state(cfg)
-        state.rng = CountingRekeyableGenerator()
+        state.rng = RecordingSubstreamGenerator(state.rng.key)
         assert len(run_tick(state, 1)) > 0
         return state.rng.streams
 
@@ -698,7 +706,7 @@ class TestDeterminismAndIsolation:
             assert grown[: len(prior)] == prior
 
     def test_interleaved_runs_match_runs_alone(self):
-        # each state re-keys its own generator, so two runs never share draws
+        # each state moves its own generator, so two runs never share draws
         cfgs = [make_config(rate_jitter=True), make_config(rate_jitter=True, seed=SEED + 1)]
         alone = [run_simulation(cfg).records for cfg in cfgs]
         states = [make_state(cfg) for cfg in cfgs]
@@ -711,7 +719,7 @@ class TestDeterminismAndIsolation:
         assert not np.array_equal(alone[0].send_time_s, alone[1].send_time_s)
 
     def test_runs_in_two_threads_match_runs_alone(self):
-        # a generator shared between runs would mix one run's re-key into
+        # a generator shared between runs would mix one run's at() into
         # the other's draws once the threads switch often enough
         cfgs = [
             make_config(
@@ -739,11 +747,16 @@ class TestDeterminismAndIsolation:
         assert all(same_columns(a, b) for a, b in zip(threaded, alone))
 
     def test_many_node_run_builds_no_seed_sequence(self, monkeypatch):
-        # every substream key comes from the batched pass, never from RngStream
-        def refuse(*args, **kwargs):
-            raise AssertionError("SeedSequence built during a simulation run")
+        # no substream builds a seed sequence: the run's one key comes from
+        # one, and every substream is a counter under that key
+        built = []
+        seed_sequence = np.random.SeedSequence
 
-        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        def counting(*args, **kwargs):
+            built.append(args)
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
         cfg = make_config(
             node_count=600,
             duration_s=2.0,
@@ -752,6 +765,7 @@ class TestDeterminismAndIsolation:
             base_hop=make_hop(service=5000.0),
         )
         assert len(run_simulation(cfg).records) == 1200
+        assert len(built) == 1
 
 
 class TestRecordColumns:
@@ -981,14 +995,14 @@ def kind_sets(draw) -> list[FadingSpec]:
     return draw(st.lists(st.sampled_from(CHANNELS), min_size=1, unique_by=lambda s: s.label))
 
 
-class CountingRekeys(RekeyableGenerator):
-    """Counts rekeys over every instance."""
+class CountingSubstreams(SubstreamGenerator):
+    """Counts at() calls over every instance."""
 
-    rekeys = 0
+    visits = 0
 
-    def rekey(self, key):
-        CountingRekeys.rekeys += 1
-        return super().rekey(key)
+    def at(self, stream_id):
+        CountingSubstreams.visits += 1
+        return super().at(stream_id)
 
 
 class TestSharedDraws:
@@ -1012,13 +1026,13 @@ class TestSharedDraws:
     @pytest.mark.parametrize("n_kinds", [1, 2, 4])
     @pytest.mark.parametrize("threshold", [None, 0.0])
     def test_rekeys_do_not_grow_with_kinds(self, monkeypatch, n_kinds, threshold):
-        monkeypatch.setattr(sim_engine, "RekeyableGenerator", CountingRekeys)
-        monkeypatch.setattr(CountingRekeys, "rekeys", 0)
+        monkeypatch.setattr(sim_engine, "SubstreamGenerator", CountingSubstreams)
+        monkeypatch.setattr(CountingSubstreams, "visits", 0)
         cfg = make_config(
             node_count=5, duration_s=3.0, rate_jitter=True, snr_threshold_db=threshold
         )
         compare_fading(cfg, CHANNELS[:n_kinds], [3.0])
-        assert CountingRekeys.rekeys == 2 * cfg.node_count * cfg.n_ticks()
+        assert CountingSubstreams.visits == 2 * cfg.node_count * cfg.n_ticks()
 
     LOSSY = dict(snr_threshold_db=0.0, rate_jitter=True, max_retries_per_leg=2)
 
