@@ -20,30 +20,32 @@ and service times round to the nearest unit, one_way up, so latency is
 exact and never below min_legs * one_way; only the float columns round it.
 
 Per tick, run_tick draws, then resolves.  A run keys one Philox
-generator once; substream (domain, node, tick) is the counter
-(0, domain, node, tick) under that key (rng.SubstreamGenerator).  The
-draw step takes every node's rate jitter (its jitter stream's first
-uniform) in one rng.philox_random pass; each node then moves the run's
-generator to its packet and server streams and draws.
+generator once; a domain's substream of tick t is the counter
+(0, domain, 0, t) under that key (rng.SubstreamGenerator).  The
+draw step takes each domain's draws of the tick from that one
+substream in one call: the nodes' rate jitters (node k's is
+uniform k), the send times, the service times, and on a lossy channel
+the channel normals (a pair per packet) and the leg uniforms
+(handshake_rows per packet).  Node k's packets take positions
+[off_k, off_k + n_k) of every stream, in (node, packet) order.
 The resolve step evaluates the channel and the handshake once on those
-draws concatenated in (node, packet) order and admits the tick's
-delivered packets to the server in one call, in arrival order.  Its
-records are columns (PacketColumns: one array per field), and a run
-concatenates the ticks column by column.
+draws and admits the tick's delivered packets to the server in one
+call, in arrival order.  Its records are columns (PacketColumns: one
+array per field), and a run concatenates the ticks column by column.
 
 Determinism: every random quantity comes from a substream keyed by
-(domain, node, tick), so runs are bit-reproducible and adding a node
-never perturbs existing nodes' draws.  A packet stream draws the send
-times, then the channel normals, then the leg uniforms.  Leg outcomes use
-inverse-CDF geometric draws (one uniform per leg), which keeps draw
-alignment across fading kinds: on a lossy channel every kind draws the
-normals, awgn included though it does not read them, so the same seed
-gives every kind the same uniforms, coupling the runs for low-variance
-ordering.  On a lossless channel (the ideal one, fading None, or no SNR
-threshold) no leg can fail, and the tick draws neither the normals nor
-the leg uniforms: they come last in the stream, so every draw it does
-make is the one a lossy run of the same seed makes, and a lossless kind
-can resolve a lossy draw.
+(domain, tick), so runs are bit-reproducible.  Every stream is laid out
+packet by packet, so its draws for the first n packets do not depend on
+how many follow: adding a node never perturbs existing nodes' draws.
+Leg outcomes use inverse-CDF geometric draws (one uniform per leg),
+which keeps draw alignment across fading kinds: on a lossy channel every
+kind draws the normals, awgn included though it does not read them, so
+the same seed gives every kind the same uniforms, coupling the runs for
+low-variance ordering.  On a lossless channel (the ideal one, fading
+None, or no SNR threshold) no leg can fail, and the tick draws neither
+the normals nor the leg uniforms: they have streams of their own, so
+every draw it does make is the one a lossy run of the same seed makes,
+and a lossless kind can resolve a lossy draw.
 
 Only per_packet_error_probability imports scipy (scipy.special.expit), so
 a run on an ideal or lossless channel never loads it.
@@ -66,13 +68,14 @@ from .qos_state_machine import (
 from .queueing_model import QueueParams
 from .reporting import mean_latency_so_far
 from .rng import (
+    DOMAIN_CHANNEL,
+    DOMAIN_LEG,
     DOMAIN_PACKET,
     DOMAIN_RATE_JITTER,
     DOMAIN_SERVER,
     RngStream,
     SubstreamGenerator,
     _check_seed,
-    philox_random,
 )
 from .rtt_model import HopConfig, compute_rtt
 
@@ -320,7 +323,7 @@ def _lossy(config: SimulationConfig) -> bool:
 
 
 class _TickDraws(NamedTuple):
-    """Every random draw of one tick, concatenated in (node, packet) order.
+    """Every random draw of one tick, in (node, packet) order.
 
     z (the channel normals, 2 x packets) and leg_u (the leg uniforms,
     handshake_rows x packets) are None in a lossless draw.
@@ -349,7 +352,8 @@ def _draw_tick(
     cfg: SimulationConfig, rng: SubstreamGenerator, t: int, lossy: bool
 ) -> _TickDraws:
     """Draw tick t: send times and service times, plus the channel normals
-    and leg uniforms when lossy.
+    and leg uniforms when lossy, each from its domain's substream
+    (domain, 0, t) in one call.
 
     The fading kind is not read, so every config with cfg's traffic can
     resolve these draws.
@@ -357,38 +361,29 @@ def _draw_tick(
     tick_start = (t - 1) * float(cfg.tick_s)  # a float column even for an int tick_s
     base = cfg.rate_at_tick(t)
 
-    n_pkts = [base] * cfg.node_count
+    total = base * cfg.node_count
     if cfg.rate_jitter:
-        # each node's jitter is its stream's first uniform, for all nodes in
-        # one pass; rint rounds half to even, as round does
-        nodes = np.arange(1, cfg.node_count + 1)
-        ids = np.stack(np.broadcast_arrays(DOMAIN_RATE_JITTER, nodes, t), axis=-1)
+        # node k's jitter is uniform k of the tick's jitter stream; rint
+        # rounds half to even, as round does
         lo, hi = RATE_JITTER_SPAN
-        jittered = float(base) * (lo + (hi - lo) * philox_random(rng.key, ids))
-        n_pkts = np.rint(jittered).astype(np.int64).tolist()
+        u = rng.at((DOMAIN_RATE_JITTER, 0, t)).random(cfg.node_count)
+        total = int(np.rint(float(base) * (lo + (hi - lo) * u)).astype(np.int64).sum())
 
-    # each node draws from its own substreams; a lossless draw skips the
-    # normals and leg uniforms (see the module docstring)
-    leg_rows = handshake_rows(cfg.qos_level, cfg.max_retries_per_leg)
-    mean_service = 1.0 / cfg.server_mu()
-    u_send, z, leg_u, service = [], [], [], []
-    for node, n in enumerate(n_pkts, 1):
-        gen = rng.at((DOMAIN_PACKET, node, t))
-        u_send.append(gen.random(n))
-        if lossy:
-            z.append(gen.standard_normal((2, n)))
-            leg_u.append(gen.random((leg_rows, n)))
-        service.append(rng.at((DOMAIN_SERVER, node, t)).exponential(mean_service, n))
-
+    # node k's packets take the same positions in every stream, and the
+    # layouts are packet-major, so a node's draws never depend on the
+    # nodes after it (see the module docstring)
     span = cfg.tick_s - cfg.handshake_guard_s()
-    send = np.rint(np.concatenate(u_send) * span * UNITS_PER_S).astype(np.int64)
-    service = np.rint(np.concatenate(service) * UNITS_PER_S)
+    send = rng.at((DOMAIN_PACKET, 0, t)).random(total)
+    send = np.rint(send * span * UNITS_PER_S).astype(np.int64)
+    service = rng.at((DOMAIN_SERVER, 0, t)).exponential(1.0 / cfg.server_mu(), total)
+    service = np.rint(service * UNITS_PER_S)
     if service.max(initial=0) >= 2**63:
         raise InvalidConfigError("a service time of 2**31 s or more overflows int64 time")
+    z = leg_u = None
     if lossy:
-        z, leg_u = np.concatenate(z, axis=1), np.concatenate(leg_u, axis=1)
-    else:
-        z = leg_u = None
+        leg_rows = handshake_rows(cfg.qos_level, cfg.max_retries_per_leg)
+        z = rng.at((DOMAIN_CHANNEL, 0, t)).standard_normal((total, 2)).T
+        leg_u = rng.at((DOMAIN_LEG, 0, t)).random((total, leg_rows)).T
     return _TickDraws(tick_start, send, z, leg_u, service.astype(np.int64))
 
 

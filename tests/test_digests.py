@@ -17,9 +17,9 @@ from perfbench import run, workloads
 
 SEED = 401
 DIGESTS = {
-    "fanin_many_nodes": "c36c34691947fa481fd6924b1b3eb731e5f77f2ced157ebaf25f821c283c67d8",
-    "burst_few_nodes": "3fbae0de6e673535134313bda7270e5a930077b62707a67012972c43aecb406e",
-    "fading_compare": "97bb733739455c12b1e1ae4f97ef62ede9a1b9b6fc2de833cac35b0d778c620e",
+    "fanin_many_nodes": "5a3bdcf3f3c0af04cb25ec7aaa0057757c4bb0008993978d2dfa952400818922",
+    "burst_few_nodes": "6e4b335fe02cdb28b13e30598024dca951db294ecf7530a5a6f7bf042c751993",
+    "fading_compare": "fefb8d08a98ab4b02aad445287b7fe23bdd171a494fcb411d04330acd1d0ce31",
     "model_validation": "528e58499c505e232556038d697e939b624df897746e2bd1020aa21d0edec1ed",
 }
 
@@ -35,13 +35,13 @@ def test_seed_401_digest(name, tmp_path):
 
 SHIPPED = {
     ("simulate", "default_simulate.json"): (
-        "17772ee194e6ad3505f72bad610862c40fdb4c2b19e9bfea0919630bec4b573e"
+        "5c0c79890614df53c010b0f004a198b966f4045d020f1368ceef1d28d429f4db"
     ),
     ("simulate", "high_load_trend.json"): (
-        "8d17b4e857c6939d03e4c176461a38caa6eaf40568e565cab5a0715d7d19c374"
+        "be3c47aeabdad1242e1ae2304bd4d783fbb0aa1035c057e51310262362d59589"
     ),
     ("compare-fading", "default_compare.json"): (
-        "dbdc04b4c53ace5217e8fac86fd606388a7818c65b16b8373af1b218f9f7e871"
+        "5e8b50e90b2ef93e7e78da6cca1e064165c98f48fd86310dc5dce5898da32a98"
     ),
 }
 

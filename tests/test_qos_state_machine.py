@@ -18,7 +18,7 @@ from iiot_netsim.qos_state_machine import (
     reliability,
     reliability_monte_carlo,
 )
-from iiot_netsim.rng import DOMAIN_PACKET, RngStream
+from iiot_netsim.rng import DOMAIN_CHANNEL, DOMAIN_LEG, RngStream
 from iiot_netsim.rtt_model import HopConfig
 from iiot_netsim.sim_engine import SimulationConfig, per_packet_error_probability, run_simulation
 
@@ -187,11 +187,12 @@ def test_qos2_delegates():
         max_retries_per_leg=2,
     )
     records = run_simulation(cfg).records
-    counter = np.array([0, DOMAIN_PACKET, 1, 1], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=RngStream(SEED).key, counter=counter))
-    gen.random(n)  # send times
-    h = channel_gain(cfg.fading, gen.standard_normal((2, n)))
-    leg_u = gen.random((handshake_rows(2, 2), n))
+    def tick_1(domain):
+        counter = np.array([0, domain, 0, 1], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=RngStream(SEED).key, counter=counter))
+
+    h = channel_gain(cfg.fading, tick_1(DOMAIN_CHANNEL).standard_normal((n, 2)).T)
+    leg_u = tick_1(DOMAIN_LEG).random((n, handshake_rows(2, 2))).T
     snr = (h.real**2 + h.imag**2) / cfg.noise_n0
     p = 1.0 - per_packet_error_probability(snr, 0.0)
     delivered, legs = handshake_legs(2, p, leg_u, 2)

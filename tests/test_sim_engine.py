@@ -18,6 +18,8 @@ from iiot_netsim.errors import InstabilityError, InvalidConfigError, InvalidPara
 from iiot_netsim.qos_state_machine import handshake_legs, handshake_rows
 from iiot_netsim.reporting import mean_latency_so_far, summarize_rtt, windowed_series
 from iiot_netsim.rng import (
+    DOMAIN_CHANNEL,
+    DOMAIN_LEG,
     DOMAIN_PACKET,
     DOMAIN_RATE_JITTER,
     DOMAIN_SERVER,
@@ -168,12 +170,12 @@ class TestConfigValidation:
         assert records.latency_s.min() >= cfg.min_legs() * cfg.one_way_s()
 
     @pytest.mark.parametrize(
-        "t,what", [(4, "the server's backlog"), (8, "a service time")], ids=["backlog", "service"]
+        "t,what", [(2, "the server's backlog"), (5, "a service time")], ids=["backlog", "service"]
     )
     def test_refuses_server_times_beyond_int64(self, t, what):
         # stable (1 packet per 2**30 s against 1e-9 per s), but services
-        # average 1e9 s: tick 4 ends its service past 2**31 s from its
-        # start, and tick 8 draws a service of more than 2**31 s
+        # average 1e9 s: tick 2 ends its service past 2**31 s from its
+        # start, and tick 5 draws a service of more than 2**31 s
         hop = replace(make_hop(proc=0.0), service_rate=1e-9, arrival_rate=1e-12)
         cfg = make_config(
             node_count=1, tick_s=2.0**30, duration_s=2.0**34, base_hop=hop,
@@ -388,7 +390,7 @@ class TestRunTick:
         assert len(run_tick(state, 2)) == 110
 
 
-DOMAINS = (DOMAIN_PACKET, DOMAIN_SERVER, DOMAIN_RATE_JITTER)
+DOMAINS = (DOMAIN_PACKET, DOMAIN_SERVER, DOMAIN_RATE_JITTER, DOMAIN_CHANNEL, DOMAIN_LEG)
 
 
 def lindley_waits(free_at: int, arrivals, services) -> tuple[list[int], int]:
@@ -403,14 +405,14 @@ def lindley_waits(free_at: int, arrivals, services) -> tuple[list[int], int]:
 
 
 def ref_run_tick(state, t, jitter_u=None) -> PacketColumns:
-    """run_tick as a plain per-node loop: every node builds a plain numpy
-    Philox for its jitter, its packets and its server, at the substream's
-    counter (0, domain, node, t) under the run's key (RngStream(seed).key),
-    draws send times, channel normals and leg uniforms whatever the
-    channel, and the handshake always runs.
+    """run_tick as a plain per-node loop: the tick builds one plain numpy
+    Philox per domain, at the substream's counter (0, domain, 0, t) under
+    the run's key (RngStream(seed).key), and each node in turn draws its
+    jitter, send times, channel normals, leg uniforms and services from
+    them, whatever the channel; the handshake always runs.
     Times are quantized to 2**-32 s as the engine does, and the server is
     the sequential Lindley loop.  jitter_u, if given, stands in for the
-    jitter streams' uniforms."""
+    jitter stream's uniforms."""
     cfg = state.config
     unit = 2**32
     one_way_q = math.ceil(compute_rtt([cfg.base_hop]).one_way * unit)
@@ -421,14 +423,14 @@ def ref_run_tick(state, t, jitter_u=None) -> PacketColumns:
     lo, hi = RATE_JITTER_SPAN
     mean_service = 1.0 / cfg.server_mu()
     key = RngStream(cfg.seed).key
+    gen = {
+        d: np.random.Generator(
+            np.random.Philox(key=key, counter=np.array([0, d, 0, t], dtype=np.uint64))
+        )
+        for d in DOMAINS
+    }
     u_send, z, leg_u, service = [], [], [], []
     for node in range(1, cfg.node_count + 1):
-        gen = {
-            d: np.random.Generator(
-                np.random.Philox(key=key, counter=np.array([0, d, node, t], dtype=np.uint64))
-            )
-            for d in DOMAINS
-        }
         n_pkts = base
         if cfg.rate_jitter:
             u = gen[DOMAIN_RATE_JITTER].random()
@@ -436,16 +438,16 @@ def ref_run_tick(state, t, jitter_u=None) -> PacketColumns:
                 u = jitter_u[node - 1]
             n_pkts = int(round(base * (lo + (hi - lo) * u)))
         u_send.append(gen[DOMAIN_PACKET].random(n_pkts))
-        z.append(gen[DOMAIN_PACKET].standard_normal((2, n_pkts)))
-        leg_u.append(gen[DOMAIN_PACKET].random((leg_rows, n_pkts)))
+        z.append(gen[DOMAIN_CHANNEL].standard_normal((n_pkts, 2)))
+        leg_u.append(gen[DOMAIN_LEG].random((n_pkts, leg_rows)))
         service.append(gen[DOMAIN_SERVER].exponential(mean_service, n_pkts))
 
-    z = np.concatenate(z, axis=1)
+    z = np.concatenate(z).T
     p_leg = np.ones(z.shape[1])
     if cfg.fading is not None and cfg.snr_threshold_db is not None:
         p_leg = _leg_success_prob(cfg, z)
     delivered, legs = handshake_legs(
-        cfg.qos_level, p_leg, np.concatenate(leg_u, axis=1), cfg.max_retries_per_leg
+        cfg.qos_level, p_leg, np.concatenate(leg_u).T, cfg.max_retries_per_leg
     )
     send = np.rint(np.concatenate(u_send) * span * unit).astype(np.int64)
     service = np.rint(np.concatenate(service) * unit).astype(np.int64)
@@ -497,7 +499,7 @@ def tick_configs(draw) -> SimulationConfig:
 
 class TestTickMatchesPerNodeReference:
     """Bit-identity: run_tick skips the draws a lossless channel never reads
-    and takes every node's jitter from one batched pass, and still returns,
+    and takes each domain's draws of a tick in one call, and still returns,
     column for column, what the plain per-node loop returns."""
 
     @given(cfg=tick_configs())
@@ -528,17 +530,42 @@ class TestTickMatchesPerNodeReference:
         got = compare_fading(base, CHANNELS, times)
         assert np.array_equal(got, np.array(want, dtype=float).T, equal_nan=True)
 
-    def test_jitter_on_a_half_rounds_to_even(self, monkeypatch):
+    def test_jitter_on_a_half_rounds_to_even(self):
         # base 5 spans [4, 6); these uniforms put the product exactly on 4.5 and
         # 5.5, which round (and rint) take to 4 and 6
         lo, hi = RATE_JITTER_SPAN
         u = [0.25, 0.7500000000000003]
         assert [5.0 * (lo + (hi - lo) * x) for x in u] == [4.5, 5.5]
-        monkeypatch.setattr(sim_engine, "philox_random", lambda key, ids: np.array(u))
         cfg = make_config(node_count=2, packets_per_node_per_tick=5, rate_jitter=True)
-        got = run_tick(make_state(cfg), 1)
+        state = make_state(cfg)
+        state.rng = JitterStub(state.rng.key, u)
+        got = run_tick(state, 1)
         assert len(got) == 4 + 6
         assert same_columns(got, ref_run_tick(make_state(cfg), 1, jitter_u=u))
+
+
+class _StubGenerator:
+    """A generator whose random() returns fixed uniforms."""
+
+    def __init__(self, u):
+        self._u = u
+
+    def random(self, n):
+        assert n == len(self._u)
+        return np.array(self._u)
+
+
+class JitterStub(SubstreamGenerator):
+    """Draws the jitter stream's uniforms from a list, every other stream as usual."""
+
+    def __init__(self, key, jitter_u):
+        super().__init__(key)
+        self.jitter_u = jitter_u
+
+    def at(self, stream_id):
+        if stream_id[0] == DOMAIN_RATE_JITTER:
+            return _StubGenerator(self.jitter_u)
+        return super().at(stream_id)
 
 
 class _RecordingGenerator:
@@ -553,43 +580,55 @@ class _RecordingGenerator:
 
 
 class RecordingSubstreamGenerator(SubstreamGenerator):
-    """Records, per at(), the draws made on the substream it moved to."""
+    """Records, per at(), the stream id and the draws made on that substream."""
 
     def __init__(self, key):
         super().__init__(key)
-        self.streams: list[list[str]] = []
+        self.streams: list[tuple[tuple, list[str]]] = []
 
     def at(self, stream_id):
-        self.streams.append([])
-        return _RecordingGenerator(super().at(stream_id), self.streams[-1])
+        self.streams.append((tuple(stream_id), []))
+        return _RecordingGenerator(super().at(stream_id), self.streams[-1][1])
 
 
-class TestDrawsPerNode:
-    """A lossless tick draws only what it reads; a lossy one still draws the
-    channel normals and the leg uniforms of every node."""
+class TestDrawsPerTick:
+    """A tick moves the generator once per domain it draws from, whatever
+    the node count: a lossless tick draws only what it reads, and a lossy
+    one adds the channel normals and the leg uniforms."""
 
-    NODES = 40
-
-    def streams(self, **overrides) -> list[list[str]]:
-        cfg = make_config(node_count=self.NODES, packets_per_node_per_tick=3, **overrides)
+    def streams(self, nodes, t=2, **overrides) -> list[tuple[tuple, list[str]]]:
+        cfg = make_config(
+            node_count=nodes, packets_per_node_per_tick=3, rate_jitter=True,
+            base_hop=make_hop(service=5000.0), **overrides,
+        )
         state = make_state(cfg)
         state.rng = RecordingSubstreamGenerator(state.rng.key)
-        assert len(run_tick(state, 1)) > 0
+        assert len(run_tick(state, t)) > 0
         return state.rng.streams
 
+    @pytest.mark.parametrize("nodes", [1, 40, 600])
     @pytest.mark.parametrize("spec", CHANNELS, ids=lambda s: s.label)
-    def test_lossless_jittered_tick_rekeys_twice_per_node(self, spec):
+    def test_lossless_jittered_tick_moves_three_times(self, spec, nodes):
         # the ideal channel is lossless even with a threshold; the others without one
         threshold = 0.0 if spec.fading is None else None
-        streams = self.streams(rate_jitter=True, fading=spec.fading, snr_threshold_db=threshold)
-        assert len(streams) == 2 * self.NODES
-        assert streams == [["random"], ["exponential"]] * self.NODES
+        streams = self.streams(nodes, fading=spec.fading, snr_threshold_db=threshold)
+        assert streams == [
+            ((DOMAIN_RATE_JITTER, 0, 2), ["random"]),
+            ((DOMAIN_PACKET, 0, 2), ["random"]),
+            ((DOMAIN_SERVER, 0, 2), ["exponential"]),
+        ]
 
+    @pytest.mark.parametrize("nodes", [1, 40, 600])
     @pytest.mark.parametrize("spec", CHANNELS[1:], ids=lambda s: s.label)
-    def test_lossy_tick_draws_normals_and_leg_uniforms(self, spec):
-        streams = self.streams(rate_jitter=True, fading=spec.fading, snr_threshold_db=0.0)
-        packet = ["random", "standard_normal", "random"]
-        assert streams == [packet, ["exponential"]] * self.NODES
+    def test_lossy_tick_moves_five_times(self, spec, nodes):
+        streams = self.streams(nodes, fading=spec.fading, snr_threshold_db=0.0)
+        assert streams == [
+            ((DOMAIN_RATE_JITTER, 0, 2), ["random"]),
+            ((DOMAIN_PACKET, 0, 2), ["random"]),
+            ((DOMAIN_SERVER, 0, 2), ["exponential"]),
+            ((DOMAIN_CHANNEL, 0, 2), ["standard_normal"]),
+            ((DOMAIN_LEG, 0, 2), ["random"]),
+        ]
 
 
 class TestConservationAndInvariants:
@@ -704,6 +743,22 @@ class TestDeterminismAndIsolation:
             grown = outcomes(big, t)
             assert len(grown) > len(prior)
             assert grown[: len(prior)] == prior
+
+    @given(cfg=tick_configs(), added=st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_adding_nodes_preserves_prior_outcomes_on_every_config(self, cfg, added):
+        # every channel, QoS level, jitter and growth setting: each stream is
+        # laid out packet by packet, so the N-node tick is a prefix of the
+        # tick with more nodes
+        small = make_state(cfg)
+        big = make_state(replace(cfg, node_count=cfg.node_count + added))
+
+        def outcomes(state, t):
+            return [(r.send_time_s, r.attempts, r.delivered) for r in run_tick(state, t)]
+
+        for t in range(1, cfg.n_ticks() + 1):
+            prior = outcomes(small, t)
+            assert outcomes(big, t)[: len(prior)] == prior
 
     def test_interleaved_runs_match_runs_alone(self):
         # each state moves its own generator, so two runs never share draws
@@ -1032,7 +1087,9 @@ class TestSharedDraws:
             node_count=5, duration_s=3.0, rate_jitter=True, snr_threshold_db=threshold
         )
         compare_fading(cfg, CHANNELS[:n_kinds], [3.0])
-        assert CountingSubstreams.visits == 2 * cfg.node_count * cfg.n_ticks()
+        # jitter, sends and services, plus normals and leg uniforms when a kind is lossy
+        lossy = threshold is not None and n_kinds > 1
+        assert CountingSubstreams.visits == (5 if lossy else 3) * cfg.n_ticks()
 
     LOSSY = dict(snr_threshold_db=0.0, rate_jitter=True, max_retries_per_leg=2)
 
