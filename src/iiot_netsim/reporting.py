@@ -82,16 +82,21 @@ def mean_latency_so_far(records, times) -> list[float | None]:
     """
     sends = records.send_time_s[records.delivered]
     lats = records.latency_s[records.delivered]
-    # numpy orders complex numbers by real part, then imaginary part: one
-    # argsort on sends + i*lats is the (send, latency) order, faster than
-    # lexsort; rows that tie on both keys hold equal latencies
-    order = np.argsort(sends + 1j * lats)
-    lats = lats[order]
+    # distinct sends have one sorting permutation, which the default (SIMD)
+    # argsort finds; only equal sends need the latency as a second key.
+    # numpy orders complex numbers by real part, then imaginary part, so
+    # sends + i*lats sorts by (send, latency), faster than lexsort; rows
+    # that tie on both keys hold equal latencies
+    order = np.argsort(sends)
+    ordered = sends[order]
+    if (ordered[1:] == ordered[:-1]).any():  # a tie; ordered is the same either way
+        order = np.argsort(sends + 1j * lats)
+    sends, lats = ordered, lats[order]
     # every prefix's mean in one pass, clamped into the prefix's [min, max];
     # the leading nan stands for the empty prefix
     avg = np.cumsum(lats) / np.arange(1, lats.size + 1)
     avg = np.r_[np.nan, np.clip(avg, np.minimum.accumulate(lats), np.maximum.accumulate(lats))]
-    k = np.searchsorted(sends[order], times, side="right")
+    k = np.searchsorted(sends, times, side="right")
     return [m if i else None for i, m in zip(k.tolist(), (avg[k] * 1e3).tolist())]
 
 

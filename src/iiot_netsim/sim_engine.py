@@ -404,11 +404,18 @@ def _resolve_tick(
         legs = np.full(len(send), cfg.min_legs(), dtype=np.int64)
     arrival = send + legs * cfg._one_way_q
 
-    # exact FIFO at the server: admit in arrival order; the stable sort keeps
-    # (node, packet) order among equal arrivals
+    # exact FIFO at the server: admit in arrival order, equal arrivals in
+    # (node, packet) order.  Distinct arrivals have one sorting permutation,
+    # so the default (SIMD, unstable) argsort finds it; only a tie needs the
+    # slower stable sort
     queued = np.flatnonzero(delivered)
-    queued = queued[np.argsort(arrival[queued], kind="stable")]
-    waits = server.admit(round(tick_start * UNITS_PER_S), arrival[queued], service[queued])
+    key = arrival[queued]
+    order = np.argsort(key)
+    ordered = key[order]
+    if (ordered[1:] == ordered[:-1]).any():  # a tie; ordered is the same either way
+        order = np.argsort(key, kind="stable")
+    queued = queued[order]
+    waits = server.admit(round(tick_start * UNITS_PER_S), ordered, service[queued])
     latency = np.full(len(send), math.nan)
     latency[queued] = ((arrival - send)[queued] + waits) / UNITS_PER_S
     send_s = tick_start + send / UNITS_PER_S

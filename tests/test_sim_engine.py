@@ -9,7 +9,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iiot_netsim import cli, sim_engine
@@ -36,6 +36,7 @@ from iiot_netsim.sim_engine import (
     PacketRecord,
     SimulationConfig,
     _leg_success_prob,
+    _TickDraws,
     compare_fading,
     make_state,
     per_packet_error_probability,
@@ -902,6 +903,69 @@ class TestServerFifo:
             retried += sum(r.attempts > cfg.min_legs() for r in recs)
         assert delivered / (cfg.server_mu() * cfg.duration_s) >= 0.9
         assert retried > 0
+
+
+@st.composite
+def tied_ticks(draw) -> tuple[list[int], list[int]]:
+    """A tick's (send offsets, services) in units, in (node, packet) order.
+    Sends come from a pool of 1-3 values a whole number of legs apart, so
+    many packets, whatever their leg counts, share an arrival unit."""
+    one_way = make_config()._one_way_q
+    pool = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    packets = draw(
+        st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 2 * one_way)), max_size=40)
+    )
+    return [k * one_way for k, _ in packets], [s for _, s in packets]
+
+
+# lossless, and lossy QoS 2 with up to 12 legs: packets retry, and some are lost
+TIE_CONFIGS = [
+    make_config(),
+    make_config(
+        qos_level=2,
+        max_retries_per_leg=2,
+        fading=RayleighParams(sigma=1.0),
+        snr_threshold_db=0.0,
+    ),
+]
+
+
+class TestServerOrderOnTiedArrivals:
+    """Packets that arrive in the same time unit are served in (node,
+    packet) order: every latency and the server's free_at are those of
+    the sequential recursion over the stable (arrival, index) order."""
+
+    @pytest.mark.parametrize("cfg", TIE_CONFIGS, ids=["lossless", "lossy"])
+    @given(tick=tied_ticks(), backlog=st.integers(0, 2**24), seed=st.integers(0, 2**32 - 1))
+    @example(tick=([], []), backlog=0, seed=0)
+    @example(tick=([0], [5]), backlog=7, seed=0)
+    @example(tick=([0] * 12, list(range(1, 13))), backlog=0, seed=1)
+    @settings(max_examples=200, deadline=None)
+    def test_latencies_follow_the_stable_arrival_order(self, cfg, tick, backlog, seed):
+        send, service = (np.array(x, dtype=np.int64) for x in tick)
+        n = len(send)
+        z = leg_u = None
+        if sim_engine._lossy(cfg):
+            gen = np.random.default_rng(seed)
+            z = gen.standard_normal((2, n))
+            leg_u = gen.random((handshake_rows(cfg.qos_level, cfg.max_retries_per_leg), n))
+        t = 2
+        state = make_state(cfg)
+        origin = round((t - 1) * cfg.tick_s * UNITS_PER_S)
+        state.server.free_at = origin + backlog
+        got = run_tick(state, t, draws=_TickDraws((t - 1) * cfg.tick_s, send, z, leg_u, service))
+
+        legs = got.attempts.tolist()
+        arrival = [s + k * cfg._one_way_q for s, k in zip(send.tolist(), legs)]
+        queued = sorted(np.flatnonzero(got.delivered).tolist(), key=lambda i: (arrival[i], i))
+        waits, free_at = lindley_waits(
+            origin + backlog, [origin + arrival[i] for i in queued], service[queued].tolist()
+        )
+        want = np.full(n, math.nan)
+        for i, wait in zip(queued, waits):
+            want[i] = (legs[i] * cfg._one_way_q + wait) / UNITS_PER_S
+        assert np.array_equal(got.latency_s, want, equal_nan=True)
+        assert state.server.free_at == free_at
 
 
 class TestQosMeansMatchAnalytic:
