@@ -29,7 +29,6 @@ from .errors import (
     NetsimError,
     ShapeMismatchError,
     StatisticalCheckError,
-    UnreachableTargetError,
 )
 from .qos_state_machine import (
     QoSChainParams,
@@ -55,7 +54,7 @@ from .reporting import (
     windowed_series,
 )
 from .rng import RngStream
-from .rtt_model import HopConfig, RttBreakdown, calibrate_to_target, compute_rtt
+from .rtt_model import HopConfig, RttBreakdown, compute_rtt
 from .sim_engine import (
     FadingSpec,
     SimulationConfig,
@@ -83,7 +82,6 @@ __all__ = [
     "NetsimError",
     "ShapeMismatchError",
     "StatisticalCheckError",
-    "UnreachableTargetError",
     "QoSChainParams",
     "handshake_legs",
     "handshake_rows",
@@ -104,7 +102,6 @@ __all__ = [
     "RngStream",
     "HopConfig",
     "RttBreakdown",
-    "calibrate_to_target",
     "compute_rtt",
     "FadingSpec",
     "SimulationConfig",

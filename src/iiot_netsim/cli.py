@@ -82,29 +82,18 @@ QUEUE_HEADER = "lambda,mu,c,erlang_c,Wq"
 QOS_HEADER = "alpha,beta,gamma,delta,R_closed_form,R_monte_carlo,mc_standard_error,n_runs"
 CHANNEL_PDF_HEADER = "r,pdf_analytic,pdf_empirical"
 
-# every top-level config key and the JSON value it holds; a (type, None)
-# pair also takes null.  The objects are read by parse_hop,
-# parse_fading_params and parse_comparison; ranges are checked by the
-# dataclasses they build.
+# every top-level config key and the JSON value it holds (a (type, None)
+# pair also takes null): SimulationConfig's fields by annotation, but for
+# the keys read by parse_hop, parse_fading_params and parse_comparison.
+# Fields without a default are required; the dataclasses check ranges.
+_FIELD_JSON_TYPES = {"int": int, "float": float, "float | None": (float, None), "bool": bool}
+_BOUNDARY_KEYS = {"base_hop": dict, "fading": str, "fading_params": (dict, None),
+                  "comparison": dict}
+_SIM_FIELDS = dataclasses.fields(SimulationConfig)
 _CONFIG_KEYS = {
-    "node_count": int,
-    "duration_s": float,
-    "seed": int,
-    "base_hop": dict,
-    "tick_s": float,
-    "fading": str,
-    "fading_params": (dict, None),  # null for fading "none"
-    "noise_n0": float,
-    "qos_level": int,
-    "packets_per_node_per_tick": int,
-    "snr_threshold_db": (float, None),  # null: no channel loss
-    "max_retries_per_leg": int,
-    "rate_jitter": bool,
-    "rate_growth_per_tick": float,
-    "report_window_s": float,
-    "comparison": dict,
-}
-_REQUIRED_KEYS = frozenset({"node_count", "duration_s", "seed", "base_hop"})
+    f.name: _FIELD_JSON_TYPES[f.type] for f in _SIM_FIELDS if f.name not in _BOUNDARY_KEYS
+} | _BOUNDARY_KEYS
+_REQUIRED_KEYS = frozenset(f.name for f in _SIM_FIELDS if f.default is dataclasses.MISSING)
 _JSON_NAMES = {bool: "a boolean", str: "a string", dict: "a JSON object"}
 # each fading kind's JSON name and the class of its params ("none" takes null)
 FADING_PARAMS = {"none": None, "awgn": AwgnParams, "rayleigh": RayleighParams,

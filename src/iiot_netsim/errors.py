@@ -26,10 +26,6 @@ class InstabilityError(NetsimError, RuntimeError):
     exit_code = 3
 
 
-class UnreachableTargetError(NetsimError, ValueError):
-    """A calibration target cannot be bracketed by scaling the chosen field."""
-
-
 class ShapeMismatchError(NetsimError, ValueError):
     """Tabular input is ragged or otherwise malformed."""
 

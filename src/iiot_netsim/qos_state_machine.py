@@ -22,6 +22,10 @@ from .errors import DomainError, InvalidParameterError
 from .rng import RngStream
 
 N_LEGS = 4
+# reliability_monte_carlo redraws a run until a leg succeeds, 1/(1 - prod(1-p))
+# rounds on average: at this bound the CLI's 200k runs loop ~12k rounds (~10 s
+# on a 2-vCPU host); p = 1e-9 on every leg would average ~2.5e8 per run
+MAX_EXPECTED_ROUNDS = 1000
 
 
 @dataclass(frozen=True)
@@ -133,13 +137,18 @@ def reliability_monte_carlo(params: QoSChainParams, n_runs: int, rng: RngStream)
     Samples the process the closed form describes: draw all four legs;
     all succeed -> delivered, all fail -> redraw, mixed -> lost.  The
     success probability of this process is exactly
-    a*b*g*d / (1 - (1-a)(1-b)(1-g)(1-d)).
+    a*b*g*d / (1 - (1-a)(1-b)(1-g)(1-d)).  A chain whose runs would
+    average more than MAX_EXPECTED_ROUNDS rounds raises DomainError.
     """
     if n_runs < 1:
         raise InvalidParameterError("n_runs must be >= 1")
     p_legs = np.array(params.legs())
-    if np.all(p_legs == 0.0):
-        raise DomainError("reliability undefined: all leg probabilities are zero")
+    ends = 1.0 - float(np.prod(1.0 - p_legs))  # chance a round is not redrawn
+    if ends * MAX_EXPECTED_ROUNDS < 1.0:  # the all-zero chain included
+        raise DomainError(
+            f"Monte Carlo refused: a round ends a run with probability {ends:.3g}, "
+            f"so a run would average over {MAX_EXPECTED_ROUNDS} rounds"
+        )
     gen = rng.gen
     delivered = 0
     active = n_runs

@@ -37,15 +37,15 @@ Determinism: every random quantity comes from a substream keyed by
 (domain, tick), so runs are bit-reproducible.  Every stream is laid out
 packet by packet, so its draws for the first n packets do not depend on
 how many follow: adding a node never perturbs existing nodes' draws.
-Leg outcomes use inverse-CDF geometric draws (one uniform per leg),
-which keeps draw alignment across fading kinds: on a lossy channel every
-kind draws the normals, awgn included though it does not read them, so
-the same seed gives every kind the same uniforms, coupling the runs for
-low-variance ordering.  On a lossless channel (the ideal one, fading
-None, or no SNR threshold) no leg can fail, and the tick draws neither
-the normals nor the leg uniforms: they have streams of their own, so
-every draw it does make is the one a lossy run of the same seed makes,
-and a lossless kind can resolve a lossy draw.
+Leg outcomes use inverse-CDF geometric draws (a fixed number of
+uniforms per packet) from a stream of their own, so the same seed gives
+every fading kind the same uniforms whether or not it reads the normals,
+coupling the runs for low-variance ordering; compare_fading draws each
+tick once for all kinds, normals included when any kind is lossy.  On a
+lossless channel (the ideal one, fading None, or no SNR threshold) no
+leg can fail, and the tick draws neither the normals nor the leg
+uniforms: every draw it does make is the one a lossy run of the same
+seed makes, and a lossless kind can resolve a lossy draw.
 
 Only per_packet_error_probability imports scipy (scipy.special.expit), so
 a run on an ideal or lossless channel never loads it.

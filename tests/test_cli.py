@@ -3,6 +3,7 @@ import argparse
 import csv
 import json
 import math
+import time
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -387,7 +388,6 @@ EXIT_CODES = {
     errors.InvalidParameterError: 2,
     errors.DomainError: 2,
     errors.InstabilityError: 3,
-    errors.UnreachableTargetError: 2,
     errors.ShapeMismatchError: 2,
     errors.InvalidConfigError: 2,
     errors.StatisticalCheckError: 4,
@@ -603,6 +603,14 @@ class TestQosReliability:
         _, first, _ = self.run(argv, capsys)
         _, second, _ = self.run(argv, capsys)
         assert first == second
+
+    def test_tiny_leg_probabilities_exit_2_promptly(self, capsys):
+        # every run would be redrawn ~2.5e8 times before its first outcome
+        t0 = time.perf_counter()
+        rc, out, err = self.run(["qos-reliability", *["1e-9"] * 4, "--samples", "10"], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 2 and out == []
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 HOPS_HEADER = (

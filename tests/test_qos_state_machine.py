@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from iiot_netsim.channel_models import RayleighParams, channel_gain
 from iiot_netsim.errors import DomainError, InvalidParameterError
 from iiot_netsim.qos_state_machine import (
+    MAX_EXPECTED_ROUNDS,
     MIN_LEGS,
     N_LEGS,
     QoSChainParams,
@@ -271,3 +272,11 @@ def test_reliability_mc_matches_closed_form():
 def test_reliability_mc_guard():
     with pytest.raises(DomainError):
         reliability_monte_carlo(QoSChainParams.uniform(0.0), 10, stream("mc0"))
+
+
+def test_reliability_mc_refuses_chains_past_the_round_bound():
+    # one live leg: a run ends a round with probability p, so takes 1/p rounds
+    ok = 2.0 / MAX_EXPECTED_ROUNDS
+    assert 0.0 <= reliability_monte_carlo(QoSChainParams(ok, 0, 0, 0), 10, stream("mc-ok")) <= 1.0
+    with pytest.raises(DomainError, match="rounds"):
+        reliability_monte_carlo(QoSChainParams(0.5 / MAX_EXPECTED_ROUNDS, 0, 0, 0), 10, stream("mc"))

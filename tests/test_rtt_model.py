@@ -1,4 +1,4 @@
-"""Round-trip model: hand-derived totals, monotonicity, calibration."""
+"""Round-trip model: hand-derived totals, monotonicity, additivity."""
 import math
 from dataclasses import replace
 
@@ -7,12 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from iiot_netsim.errors import (
-    InstabilityError,
-    InvalidParameterError,
-    UnreachableTargetError,
-)
-from iiot_netsim.rtt_model import HopConfig, calibrate_to_target, compute_rtt
+from iiot_netsim.errors import InstabilityError, InvalidParameterError
+from iiot_netsim.rtt_model import HopConfig, compute_rtt
 
 # the hand-evaluated reference hop: 2*(1e-6 + 1e-3 + 0 + 2e-3) + 1e-3
 REF_HOP = HopConfig(
@@ -127,54 +123,3 @@ def test_retransmission_dominates_near_certain_loss():
     t2 = compute_rtt([replace(REF_HOP, loss_prob=0.98)]).hops[0].retransmission
     assert t1 / t2 == pytest.approx(2.0, rel=1e-9)
 
-
-# ---- calibration ---------------------------------------------------------
-
-
-def test_calibrate_fixed_point():
-    out = calibrate_to_target([REF_HOP], REF_TOTAL, "processing_delay")
-    assert out == [REF_HOP]
-
-
-def test_calibrate_processing_delay_to_12ms():
-    out = calibrate_to_target([REF_HOP], 0.012, "processing_delay")
-    total = compute_rtt(out).total
-    assert abs(total - 0.012) <= 1e-3 * 0.012
-    # algebra: 2*(P + 3.001e-3) + 1e-3 = 0.012  ->  P = 2.499e-3
-    assert out[0].processing_delay == pytest.approx(2.499e-3, rel=2e-3)
-
-
-def test_calibrate_decreasing_field():
-    # total(s) = 5.002e-3 + 2e-3/s when link_rate is scaled by s
-    out = calibrate_to_target([REF_HOP], 6.0e-3, "link_rate")
-    assert compute_rtt(out).total == pytest.approx(6.0e-3, rel=1e-3)
-    assert out[0].link_rate > REF_HOP.link_rate
-
-
-def test_calibrate_multi_hop_proportional():
-    hops = [REF_HOP, replace(REF_HOP, distance=600.0)]
-    out = calibrate_to_target(hops, 0.020, "retx_base")
-    assert compute_rtt(out).total == pytest.approx(0.020, rel=1e-3)
-    # proportionality of the scaled field is preserved
-    assert out[0].retx_base == pytest.approx(out[1].retx_base, rel=1e-12)
-
-
-def test_calibrate_below_floor_unreachable():
-    # zeroing processing_delay still leaves 7.002 ms on the table
-    with pytest.raises(UnreachableTargetError):
-        calibrate_to_target([REF_HOP], 5.0e-3, "processing_delay")
-    # link_rate -> infinity still leaves 5.002 ms
-    with pytest.raises(UnreachableTargetError):
-        calibrate_to_target([REF_HOP], 5.0e-3, "link_rate")
-
-
-def test_calibrate_rejects_unsafe_fields():
-    with pytest.raises(InvalidParameterError):
-        calibrate_to_target([REF_HOP], 0.01, "arrival_rate")
-    with pytest.raises(InvalidParameterError):
-        calibrate_to_target([REF_HOP], 0.01, "loss_prob")
-
-
-def test_calibrate_empty_list():
-    with pytest.raises(UnreachableTargetError):
-        calibrate_to_target([], 0.01, "processing_delay")

@@ -90,7 +90,6 @@ def test_lossy_compare_fading_loads_only_scipy_special(tmp_path):
     assert got["result"] == "0"
     assert loaded(got["scipy"], "scipy.special")
     assert not loaded(got["scipy"], "scipy.stats")
-    assert not loaded(got["scipy"], "scipy.optimize")
 
 
 # ---- smoke: each function imports what it uses ------------------------------
@@ -109,15 +108,6 @@ assert rc == 0 and "ks-two-sample" in stdout.getvalue()
 result = (rc, stdout.getvalue(), (Path(OUT) / "channel_pdf.csv").read_text())
 """
 
-CALIBRATE = """\
-from iiot_netsim.rtt_model import HopConfig, calibrate_to_target
-hop = HopConfig(
-    distance=300.0, propagation_speed=3e8, packet_length=1000.0, link_rate=1e6,
-    arrival_rate=500.0, service_rate=1000.0, retx_base=1e-3,
-)
-result = calibrate_to_target([hop], 0.012, "processing_delay")
-"""
-
 PER_PACKET_ERROR = """\
 import numpy as np
 from iiot_netsim.sim_engine import per_packet_error_probability
@@ -131,10 +121,9 @@ result = per_packet_error_probability(
     "snippet,needs",
     [
         (VALIDATE_CHANNEL, "scipy.stats"),
-        (CALIBRATE, "scipy.optimize"),
         (PER_PACKET_ERROR, "scipy.special"),
     ],
-    ids=["validate-channel", "calibrate_to_target", "per_packet_error_probability"],
+    ids=["validate-channel", "per_packet_error_probability"],
 )
 def test_fresh_call_matches_in_process_call(tmp_path, monkeypatch, snippet, needs):
     monkeypatch.delenv("IIOT_NETSIM_SEED", raising=False)
