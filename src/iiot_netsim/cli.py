@@ -397,12 +397,14 @@ def cmd_validate_channel(args) -> int:
     )
     extra_ok = True
     if args.kind == "rician" and args.amplitude == 0.0 and args.reference_sigma is None:
-        # A=0 degenerates to Rayleigh; check sampler agreement, not just the law
+        # A=0 degenerates to Rayleigh; check sampler agreement, not just the
+        # law: the Rayleigh sampler reads the Rician run's own normals, so
+        # the two samples differ only if the samplers do
         ray = np.abs(
             sample_rayleigh_gain_batch(
                 RayleighParams(sigma=args.sigma),
                 args.samples,
-                RngStream(seed).child("validate-channel", "degenerate"),
+                RngStream(seed).child("validate-channel", args.kind),
             )
         )
         two = stats.ks_2samp(mags, ray)

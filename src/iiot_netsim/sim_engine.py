@@ -106,6 +106,9 @@ def per_packet_error_probability(snr_linear, threshold_db: float):
 
 
 _BOOL = (bool, np.bool_)
+# finite-value checks compare with the largest float, not with inf: an int
+# past the float range is below inf but overflows float arithmetic
+_FLOAT_MAX = math.nextafter(math.inf, 0.0)
 # what each field annotation of SimulationConfig accepts, and its name in
 # the error; a number field refuses bool
 _ANNOTATED_TYPES = {
@@ -146,36 +149,37 @@ class SimulationConfig:
             _check_seed(self.seed)
         except InvalidParameterError as e:
             raise InvalidConfigError(str(e)) from None
-        # node_count and the tick count are bounded so absurd sizes exit 2 before any allocation
+        # node_count, packets_per_node_per_tick, max_retries_per_leg and the tick
+        # count are bounded so absurd sizes exit 2 before any allocation or overflow
         if not 1 <= self.node_count < 2**32:
             raise InvalidConfigError(f"node_count must be in [1, 2**32), got {self.node_count}")
-        if not 0 < self.duration_s < math.inf:
+        if not 0 < self.duration_s <= _FLOAT_MAX:
             raise InvalidConfigError(f"duration_s must be finite and > 0, got {self.duration_s}")
         if not 0 < self.tick_s < 2**31:  # so tick-local times in units fit int64
             raise InvalidConfigError(f"tick_s must be in (0, 2**31) s, got {self.tick_s}")
-        n = self.duration_s / self.tick_s
-        if abs(n - round(n)) > 1e-9 or round(n) < 1:
+        n = self.duration_s / self.tick_s  # inf when a tiny tick_s overflows it
+        if n == math.inf or abs(n - round(n)) > 1e-9 or not 1 <= round(n) < 2**32:
             raise InvalidConfigError(
-                f"duration_s must be a whole positive number of ticks, got {n:.6g}"
+                f"duration_s must be a whole number of ticks, 1 to under 2**32 ticks, got {n:.6g}"
             )
-        if self.n_ticks() >= 2**32:
-            raise InvalidConfigError(f"a run must have < 2**32 ticks, got {self.n_ticks()}")
-        if self.packets_per_node_per_tick < 0:
-            raise InvalidConfigError("packets_per_node_per_tick must be >= 0")
-        if self.max_retries_per_leg < 0:
-            raise InvalidConfigError("max_retries_per_leg must be >= 0")
-        if not 0 <= self.rate_growth_per_tick < math.inf:
+        if not 0 <= self.packets_per_node_per_tick < 2**32:
+            raise InvalidConfigError("packets_per_node_per_tick must be in [0, 2**32)")
+        if not 0 <= self.max_retries_per_leg < 2**32:
+            raise InvalidConfigError("max_retries_per_leg must be in [0, 2**32)")
+        if not 0 <= self.rate_growth_per_tick <= _FLOAT_MAX:
             raise InvalidConfigError("rate_growth_per_tick must be finite and >= 0")
         try:
-            self.rate_at_tick(self.n_ticks())
+            final = self.offered_rate_max()
         except (OverflowError, ValueError):  # int(round()) of an inf or NaN rate
-            raise InvalidConfigError("rate_growth_per_tick overflows the final rate") from None
-        if not 0 < self.report_window_s < math.inf:
+            final = math.inf
+        if final == math.inf:
+            raise InvalidConfigError("rate_growth_per_tick or tick_s overflows the peak rate")
+        if not 0 < self.report_window_s <= _FLOAT_MAX:
             raise InvalidConfigError("report_window_s must be finite and > 0")
-        if self.snr_threshold_db is not None and not math.isfinite(self.snr_threshold_db):
+        if self.snr_threshold_db is not None and not abs(self.snr_threshold_db) <= _FLOAT_MAX:
             raise InvalidConfigError("snr_threshold_db must be finite or None")
         fades = isinstance(self.fading, (RayleighParams, RicianParams))
-        if fades and not 0 < self.noise_n0 < math.inf:
+        if fades and not 0 < self.noise_n0 <= _FLOAT_MAX:
             raise InvalidConfigError(f"noise_n0 must be finite and > 0, got {self.noise_n0}")
         if self.handshake_guard_s() >= self.tick_s:
             raise InvalidConfigError(
@@ -218,8 +222,8 @@ class SimulationConfig:
         return int(round(grown))
 
     def offered_rate_max(self) -> float:
-        """Peak nominal offered rate over the run (last tick under growth)."""
-        return self.node_count * self.rate_at_tick(self.n_ticks()) / self.tick_s
+        """Peak nominal offered rate (last tick under growth); inf past the float range."""
+        return self.node_count * float(self.rate_at_tick(self.n_ticks())) / self.tick_s
 
 
 class PacketRecord(NamedTuple):
@@ -336,18 +340,6 @@ class _TickDraws(NamedTuple):
     service: np.ndarray  # int64 units
 
 
-class _RunDraws(NamedTuple):
-    """A run's draws, tick by tick, for every config that shares its traffic."""
-
-    config: SimulationConfig  # the config they were drawn for
-    lossy: bool  # whether they hold z and leg_u
-    ticks: list[_TickDraws]
-
-
-# the fields a config may change and still read another config's draws
-_CHANNEL_FIELDS = frozenset({"fading", "noise_n0"})
-
-
 def _draw_tick(
     cfg: SimulationConfig, rng: SubstreamGenerator, t: int, lossy: bool
 ) -> _TickDraws:
@@ -442,42 +434,17 @@ def run_tick(
     return _resolve_tick(cfg, state.server, draws)
 
 
-def _draw_run(config: SimulationConfig, lossy: bool) -> _RunDraws:
-    """Every tick's draws of config's traffic, from one generator."""
-    rng = make_state(config).rng  # refuses an overloaded run before drawing it
-    ticks = [_draw_tick(config, rng, t, lossy) for t in range(1, config.n_ticks() + 1)]
-    return _RunDraws(config, lossy, ticks)
-
-
-def _check_draws(config: SimulationConfig, draws: _RunDraws) -> None:
-    drawn = draws.config
-    other = [
-        f.name
-        for f in fields(SimulationConfig)
-        if f.name not in _CHANNEL_FIELDS and getattr(drawn, f.name) != getattr(config, f.name)
-    ]
-    if other:
-        raise InvalidParameterError(f"draws of other traffic: {', '.join(other)} differ")
-    if _lossy(config) and not draws.lossy:
-        raise InvalidParameterError(
-            "a lossy config needs lossy draws (channel normals and leg uniforms)"
-        )
-
-
 def run_simulation(
-    config: SimulationConfig, *, draws: _RunDraws | None = None
+    config: SimulationConfig, *, draws: list[_TickDraws] | None = None
 ) -> SimulationResult:
     """Run every tick.
 
-    draws, keyword-only, are a run's draws shared by configs that differ
-    only in fading and noise_n0; compare_fading makes them once for all
-    its kinds.  Draws of other traffic, or lossless draws given to a lossy
-    config, raise InvalidParameterError.
+    draws, keyword-only, are compare_fading's unchecked hand-off of every
+    tick's draws, made once from its base config; without them the run
+    draws its own.
     """
-    if draws is not None:
-        _check_draws(config, draws)
     state = make_state(config)
-    per_tick = [None] * config.n_ticks() if draws is None else draws.ticks
+    per_tick = [None] * config.n_ticks() if draws is None else draws
     ticks = [run_tick(state, t, draws=d) for t, d in enumerate(per_tick, 1)]
     return SimulationResult(records=PacketColumns.concat(ticks))
 
@@ -500,14 +467,13 @@ def compare_fading(
     kind was delivered yet; reporting.mean_latency_so_far computes each
     column.
 
-    All kinds share one set of draws, made once per tick: send times and
-    service times, plus the channel normals and leg uniforms when any kind
-    is lossy (a lossless kind does not read them).  Each kind resolves
-    them with its own channel and its own server through
-    run_simulation(..., draws=), so its column equals that of its own
-    run_simulation from the same seed; the columns differ only through
-    each kind's channel, which makes the comparison paired (common random
-    numbers) rather than independent.
+    All kinds share one set of draws, made once per tick from base: send
+    and service times, plus the channel normals and leg uniforms when any
+    kind is lossy.  A kind is base with only fading and noise_n0 replaced,
+    which no draw reads, so each kind resolves them with its own channel
+    and server through run_simulation(..., draws=), and its column equals
+    its own run_simulation's; the columns differ only through the channel,
+    which pairs the comparison (common random numbers).
     """
     if not kinds:
         raise InvalidConfigError("kinds must be nonempty")
@@ -525,14 +491,12 @@ def compare_fading(
             )
 
     configs = [
-        replace(
-            base,
-            fading=spec.fading,
-            noise_n0=spec.noise_n0 if spec.noise_n0 is not None else base.noise_n0,
-        )
-        for spec in kinds
+        replace(base, fading=k.fading, noise_n0=base.noise_n0 if k.noise_n0 is None else k.noise_n0)
+        for k in kinds
     ]
-    draws = _draw_run(base, lossy=any(_lossy(cfg) for cfg in configs))
+    rng = make_state(base).rng  # refuses an overloaded run before drawing it
+    lossy = any(_lossy(cfg) for cfg in configs)
+    draws = [_draw_tick(base, rng, t, lossy) for t in range(1, base.n_ticks() + 1)]
     columns = [
         mean_latency_so_far(run_simulation(cfg, draws=draws).records, sample_times)
         for cfg in configs

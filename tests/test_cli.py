@@ -165,6 +165,26 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "key,value",
+        [
+            ("tick_s", 5e-324),
+            ("max_retries_per_leg", 10**308),
+            ("packets_per_node_per_tick", 10**308),
+        ],
+        ids=["tick_s", "max_retries_per_leg", "packets_per_node_per_tick"],
+    )
+    def test_extreme_input_exits_2(self, tmp_path, capsys, key, value):
+        # each overflows float arithmetic unless validation refuses it first
+        doc = load_doc("default_simulate.json")
+        doc[key] = value
+        out = tmp_path / "o"
+        rc = cli.main(["simulate", "--config", write_doc(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,value",
         [(k, "5") if t is not str else (k, 5) for k, t in cli._CONFIG_KEYS.items()]
         + [
             (k, v)
@@ -503,6 +523,17 @@ class TestValidateChannel:
         )
         assert rc == 0
         assert "ks-two-sample" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", [159, 205])
+    def test_degenerate_rician_agrees_with_rayleigh_on_its_own_normals(
+        self, tmp_path, capsys, seed
+    ):
+        # seeds whose Rayleigh reference, drawn from a stream of its own,
+        # failed the two-sample check by chance
+        argv = ["validate-channel", "--kind", "rician", "--amplitude", "0", "--sigma", "1"]
+        argv += ["--samples", "2000", "--seed", str(seed), "--out", str(tmp_path / "v")]
+        assert cli.main(argv) == 0
+        assert "ks-two-sample[vs rayleigh]: statistic=0 p=1\n" in capsys.readouterr().out
 
     def test_wrong_reference_scale_exits_4(self, tmp_path, capsys):
         out = tmp_path / "v"
