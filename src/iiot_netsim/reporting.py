@@ -1,21 +1,22 @@
 """Aggregation of a run's packet columns into summary artifacts.
 
 Consumes the struct-of-arrays that sim_engine.run_simulation returns
-(sim_engine.PacketColumns: one array each of tick_start_s, send_time_s,
-attempts, delivered and latency_s, row i describing one packet);
-produces the round-trip summary, fixed-window interval series, and the
-running mean latency behind the fading-comparison table, each summary
-with a CSV mirror.  Latencies are reported in milliseconds.  Every sum
-of latencies runs left to right in row order (np.cumsum is sequential),
-unlike numpy's pairwise np.sum and CPython 3.12+'s compensated builtin
-sum, so a mean is the same on every supported Python.  This is the only
-module that summarizes records; the simulator returns them.
+(sim_engine.PacketColumns: the run's tick_s, and one array each of tick,
+send_time_s, attempts, delivered and latency_q, row i describing one
+packet); produces the round-trip summary, fixed-window interval series,
+and the running mean latency behind the fading-comparison table, each
+summary with a CSV mirror.  Latencies are reported in milliseconds.
+Every reduction is exact on the integer latencies: sums are Python ints,
+and each min, mean and max is one correctly rounded division (_ms), so
+min <= avg <= max, and two summaries of the same packets agree.  This
+is the only module that summarizes records; the simulator returns them.
 """
 from __future__ import annotations
 
 import io
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -51,93 +52,86 @@ class RttSummary:
     count: int
 
 
-def latency_stats(values) -> tuple[float | None, float | None, float | None]:
-    """(min, avg, max) of a float array or sequence; all None when empty.
+_LIMB_BITS = 21  # three limbs hold a latency below 2**63 units
 
-    avg is the left-to-right sum over the count, clamped into [min, max],
-    which it can round outside (three 0.1s average to 0.10000000000000002).
-    """
-    values = np.asarray(values, dtype=float)
-    if not values.size:
+
+def _sum(q: np.ndarray) -> int:
+    """Exact sum of int64 q in [0, 2**63): its 21-bit limbs are summed apart
+    in int64, exact for fewer than 2**42 terms, more than memory holds."""
+    mask = (1 << _LIMB_BITS) - 1
+    return sum(int(((q >> s) & mask).sum()) << s for s in range(0, 63, _LIMB_BITS))
+
+
+def _ms(units: int, count: int = 1) -> float:
+    """units / count in ms, rounded once: int / int is correctly rounded.
+    A unit is 2**-32 s, sim_engine.UNITS_PER_S."""
+    return units * 1000 / (count << 32)
+
+
+def latency_stats(q: np.ndarray) -> tuple[float | None, float | None, float | None]:
+    """(min, avg, max) in ms of int64 latencies in units; all None when empty.
+    Each is its exact value correctly rounded, so min <= avg <= max."""
+    if not q.size:
         return None, None, None
-    lo, hi = float(values.min()), float(values.max())
-    return lo, min(max(float(np.cumsum(values)[-1]) / values.size, lo), hi), hi
+    return _ms(int(q.min())), _ms(_sum(q), q.size), _ms(int(q.max()))
 
 
 def summarize_rtt(records) -> RttSummary:
     """Min/max/avg latency over delivered packets; empty input stays empty."""
-    lat = records.latency_s[records.delivered]
-    if not lat.size:
-        return RttSummary(None, None, None, 0)
-    lo, avg, hi = latency_stats(lat)
-    return RttSummary(min_ms=lo * 1e3, max_ms=hi * 1e3, avg_ms=avg * 1e3, count=len(lat))
+    q = records.latency_q[records.delivered]
+    lo, avg, hi = latency_stats(q)
+    return RttSummary(min_ms=lo, max_ms=hi, avg_ms=avg, count=q.size)
 
 
 def mean_latency_so_far(records, times) -> list[float | None]:
     """Average latency in ms of the delivered packets sent at or before each
-    time; None before the first delivery.
-
-    Deliveries are ordered by (send_time_s, latency_s); each prefix's mean
-    is the one latency_stats gives for it, as in summarize_rtt.
-    """
+    time; None before the first delivery.  Integer sums ignore order, so
+    equal sends need no tie-break: a time counts all of them or none."""
     sends = records.send_time_s[records.delivered]
-    lats = records.latency_s[records.delivered]
-    # distinct sends have one sorting permutation, which the default (SIMD)
-    # argsort finds; only equal sends need the latency as a second key.
-    # numpy orders complex numbers by real part, then imaginary part, so
-    # sends + i*lats sorts by (send, latency), faster than lexsort; rows
-    # that tie on both keys hold equal latencies
     order = np.argsort(sends)
-    ordered = sends[order]
-    if (ordered[1:] == ordered[:-1]).any():  # a tie; ordered is the same either way
-        order = np.argsort(sends + 1j * lats)
-    sends, lats = ordered, lats[order]
-    # every prefix's mean in one pass, clamped into the prefix's [min, max];
-    # the leading nan stands for the empty prefix
-    avg = np.cumsum(lats) / np.arange(1, lats.size + 1)
-    avg = np.r_[np.nan, np.clip(avg, np.minimum.accumulate(lats), np.maximum.accumulate(lats))]
-    k = np.searchsorted(sends, times, side="right")
-    return [m if i else None for i, m in zip(k.tolist(), (avg[k] * 1e3).tolist())]
+    lats = records.latency_q[records.delivered][order]
+    counts = np.searchsorted(sends[order], times, side="right").tolist()
+    # each prefix a time ends, as the running total of the pieces between them
+    ends = sorted(set(counts))
+    sums = dict(zip(ends, accumulate(_sum(lats[a:b]) for a, b in zip([0, *ends], ends))))
+    return [_ms(sums[k], k) if k else None for k in counts]
 
 
 def windowed_series(
     records, window: float, bits_per_packet: float, span_s: float
 ) -> list[IntervalReport]:
     """Partition records by send tick into the fixed windows covering
-    [0, span_s), including windows where no traffic was offered.
+    [0, span_s), including windows where no traffic was offered; the last
+    window ends at span_s, so it can be shorter than window.
 
-    A packet belongs to the window containing its tick start, so counts
-    telescope exactly; within a window, rows keep their order.
+    A packet belongs to the window containing its tick's start, found
+    exactly from its tick number, so counts telescope.  records must be
+    in tick order, as a run returns them.
     """
-    if not window > 0:
-        raise InvalidParameterError(f"window must be > 0, got {window}")
-    n_windows = max(1, math.ceil(span_s / window - 1e-12))
-    # nudge guards against fp drift when tick_start sits on a boundary
-    idx = np.floor((records.tick_start_s + 1e-12) / window)
-    order = np.argsort(idx, kind="stable")
-    edges = np.searchsorted(idx[order], np.arange(n_windows + 1)).tolist()
-    delivered = records.delivered[order]
-    lat_ms = records.latency_s[order] * 1e3
+    if not records.tick_s <= window < math.inf:  # a shorter window holds no tick
+        raise InvalidParameterError(f"window must be finite and >= tick_s, got {window}")
+    if not 0 < span_s < math.inf:
+        raise InvalidParameterError(f"span_s must be finite and > 0, got {span_s}")
+    from fractions import Fraction  # imports decimal, ~5 ms: only simulate pays it
+
+    w, span = Fraction(window), Fraction(span_s)
+    n_windows = max(1, math.ceil(span / w))
+    # window i starts at tick 1 + ceil(i * w / tick_s), the first to start at i * w or later
+    p, q = (w / Fraction(records.tick_s)).as_integer_ratio()
+    edges = np.searchsorted(records.tick, [1 - (-i * p // q) for i in range(n_windows + 1)])
+    lengths = [window] * (n_windows - 1) + [float(span - (n_windows - 1) * w)]
 
     out = []
-    for i in range(n_windows):
-        rows = slice(edges[i], edges[i + 1])
-        window_lat = lat_ms[rows][delivered[rows]]
-        lo, avg, hi = latency_stats(window_lat)
-        sent = rows.stop - rows.start
-        out.append(
-            IntervalReport(
-                window_start_s=i * window,
-                window_len_s=window,
-                sent=sent,
-                delivered=len(window_lat),
-                lost=sent - len(window_lat),
-                throughput_bps=len(window_lat) * bits_per_packet / window,
-                avg_latency_ms=avg,
-                min_latency_ms=lo,
-                max_latency_ms=hi,
-            )
-        )
+    for i, (a, b, length) in enumerate(zip(edges.tolist(), edges[1:].tolist(), lengths)):
+        window_q = records.latency_q[a:b][records.delivered[a:b]]
+        lo, avg, hi = latency_stats(window_q)
+        n = window_q.size
+        out.append(IntervalReport(
+            window_start_s=i * window, window_len_s=length,
+            sent=b - a, delivered=n, lost=b - a - n,
+            throughput_bps=n * bits_per_packet / length,
+            avg_latency_ms=avg, min_latency_ms=lo, max_latency_ms=hi,
+        ))
     return out
 
 
@@ -173,8 +167,9 @@ def fading_comparison_table(
 ) -> tuple[str, str]:
     """Render the comparison matrix (rows = times, cols = kinds).
 
-    Returns (aligned text table, CSV mirror); cells are milliseconds with
-    one decimal place.  Raises on empty or ragged input.
+    Returns (aligned text table, CSV mirror); a time label reads back as
+    its float, and cells are milliseconds with one decimal place.  Raises
+    on empty or ragged input.
     """
     if not times_s or not kinds:
         raise ShapeMismatchError("comparison table needs at least one time and one kind")
@@ -190,7 +185,8 @@ def fading_comparison_table(
 
     header = ["time_s"] + [f"{k}_ms" for k in kinds]
     rows = [
-        [f"{t:g}"] + [f"{v:.1f}" if v is not None and math.isfinite(v) else "" for v in row]
+        [repr(float(t)).removesuffix(".0")]  # reads back as t; 2.0 prints as 2
+        + [f"{v:.1f}" if v is not None and math.isfinite(v) else "" for v in row]
         for t, row in zip(times_s, latency_ms)
     ]
     csv = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"

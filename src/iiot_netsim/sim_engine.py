@@ -17,7 +17,8 @@ where one_way is the deterministic per-leg delay implied by the base hop
 server wait is the dynamic, transient part that builds up under load.
 Times are int64 counts of 2**-32 s from the tick's start: send offsets
 and service times round to the nearest unit, one_way up, so latency is
-exact and never below min_legs * one_way; only the float columns round it.
+exact and never below min_legs * one_way.  The records keep it in those
+units, with each packet's tick number, and reporting reduces them exactly.
 
 Per tick, run_tick draws, then resolves.  A run keys one Philox
 generator once; a domain's substream of tick t is the counter
@@ -174,8 +175,10 @@ class SimulationConfig:
             final = math.inf
         if final == math.inf:
             raise InvalidConfigError("rate_growth_per_tick or tick_s overflows the peak rate")
-        if not 0 < self.report_window_s <= _FLOAT_MAX:
-            raise InvalidConfigError("report_window_s must be finite and > 0")
+        if not self.tick_s <= self.report_window_s <= _FLOAT_MAX:  # a shorter one holds no tick
+            raise InvalidConfigError(
+                f"report_window_s must be finite and >= tick_s, got {self.report_window_s}"
+            )
         if self.snr_threshold_db is not None and not abs(self.snr_threshold_db) <= _FLOAT_MAX:
             raise InvalidConfigError("snr_threshold_db must be finite or None")
         fades = isinstance(self.fading, (RayleighParams, RicianParams))
@@ -229,35 +232,42 @@ class SimulationConfig:
 class PacketRecord(NamedTuple):
     """One packet of a run, as iterating PacketColumns yields it."""
 
-    tick_start_s: float
+    tick: int
     send_time_s: float
     attempts: int
     delivered: bool
     latency_s: float  # nan for a lost packet
 
 
+_COLUMNS = ("tick", "send_time_s", "attempts", "delivered", "latency_q")
+
+
 @dataclass(frozen=True, eq=False)
 class PacketColumns:
-    """A run's packets as one array per PacketRecord field, row i of every
-    column describing the same packet, in (tick, node, packet) order.
+    """A run's packets as one array per field, row i of every column
+    describing the same packet, in (tick, node, packet) order.
 
     len() counts packets; iterating yields PacketRecord rows.
     """
 
-    tick_start_s: np.ndarray  # float64
+    tick_s: float  # the run's, so tick t starts at (t - 1) * tick_s
+    tick: np.ndarray  # int64, 1-based, as run_tick's t
     send_time_s: np.ndarray  # float64
     attempts: np.ndarray  # int64, one-way legs consumed
     delivered: np.ndarray  # bool
-    latency_s: np.ndarray  # float64, nan for a lost packet
+    latency_q: np.ndarray  # int64 units of 2**-32 s, 0 for a lost packet
+
+    @property
+    def latency_s(self) -> np.ndarray:  # nan for a lost packet
+        return np.where(self.delivered, self.latency_q / UNITS_PER_S, math.nan)
 
     @classmethod
     def concat(cls, parts: list[PacketColumns]) -> PacketColumns:
-        return cls(
-            *(np.concatenate([getattr(p, f) for p in parts]) for f in PacketRecord._fields)
-        )
+        columns = (np.concatenate([getattr(p, f) for p in parts]) for f in _COLUMNS)
+        return cls(parts[0].tick_s, *columns)
 
     def __len__(self) -> int:
-        return len(self.send_time_s)
+        return len(self.tick)
 
     def __iter__(self):
         columns = (getattr(self, f).tolist() for f in PacketRecord._fields)
@@ -333,8 +343,8 @@ class _TickDraws(NamedTuple):
     handshake_rows x packets) are None in a lossless draw.
     """
 
-    tick_start: float
-    send: np.ndarray  # int64 units from tick_start
+    tick: int
+    send: np.ndarray  # int64 units from the tick's start
     z: np.ndarray | None
     leg_u: np.ndarray | None
     service: np.ndarray  # int64 units
@@ -350,7 +360,6 @@ def _draw_tick(
     The fading kind is not read, so every config with cfg's traffic can
     resolve these draws.
     """
-    tick_start = (t - 1) * float(cfg.tick_s)  # a float column even for an int tick_s
     base = cfg.rate_at_tick(t)
 
     total = base * cfg.node_count
@@ -376,7 +385,7 @@ def _draw_tick(
         leg_rows = handshake_rows(cfg.qos_level, cfg.max_retries_per_leg)
         z = rng.at((DOMAIN_CHANNEL, 0, t)).standard_normal((total, 2)).T
         leg_u = rng.at((DOMAIN_LEG, 0, t)).random((total, leg_rows)).T
-    return _TickDraws(tick_start, send, z, leg_u, service.astype(np.int64))
+    return _TickDraws(t, send, z, leg_u, service.astype(np.int64))
 
 
 def _resolve_tick(
@@ -387,7 +396,7 @@ def _resolve_tick(
     Reads the draws and writes none of them, so several configs can
     resolve the same draws in turn.
     """
-    tick_start, send, z, leg_u, service = draws
+    t, send, z, leg_u, service = draws
     if _lossy(cfg):
         p_leg = _leg_success_prob(cfg, z)
         delivered, legs = handshake_legs(cfg.qos_level, p_leg, leg_u, cfg.max_retries_per_leg)
@@ -407,11 +416,13 @@ def _resolve_tick(
     if (ordered[1:] == ordered[:-1]).any():  # a tie; ordered is the same either way
         order = np.argsort(key, kind="stable")
     queued = queued[order]
+    tick_start = (t - 1) * float(cfg.tick_s)
     waits = server.admit(round(tick_start * UNITS_PER_S), ordered, service[queued])
-    latency = np.full(len(send), math.nan)
-    latency[queued] = ((arrival - send)[queued] + waits) / UNITS_PER_S
+    latency = np.zeros(len(send), dtype=np.int64)
+    latency[queued] = legs[queued] * cfg._one_way_q + waits
     send_s = tick_start + send / UNITS_PER_S
-    return PacketColumns(np.full(len(send), tick_start), send_s, legs, delivered, latency)
+    ticks = np.full(len(send), t, dtype=np.int64)
+    return PacketColumns(float(cfg.tick_s), ticks, send_s, legs, delivered, latency)
 
 
 def run_tick(

@@ -271,6 +271,51 @@ class TestSimulate:
         assert len(rows) == 5
         assert all(float(r["window_len_s"]) == 2.0 for r in rows)
 
+    def test_partial_last_window_reports_its_own_length(self, tmp_path):
+        # 10 s in 3 s windows: the last is 1 s long, and the run offers
+        # 300 kbps throughout, so its throughput is 300 kbps too
+        out = tmp_path / "o"
+        cfg = str(shipped("default_simulate.json"))
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out), "--window", "3"]) == 0
+        rows = read_intervals(out)
+        assert [(r["window_start_s"], r["window_len_s"], r["sent"]) for r in rows] == [
+            ("0.0", "3.0", "900"),
+            ("3.0", "3.0", "900"),
+            ("6.0", "3.0", "900"),
+            ("9.0", "1.0", "300"),
+        ]
+        assert {r["throughput_bps"] for r in rows} == {"300000.0"}
+
+    @pytest.mark.parametrize("window", ["0.5", "1e-300", "0"])
+    def test_window_shorter_than_a_tick_exits_2(self, tmp_path, capsys, window):
+        out = tmp_path / "o"
+        cfg = str(shipped("default_simulate.json"))
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out), "--window", window]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: report_window_s must be finite and >= tick_s")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["fanin_many_nodes", "default_simulate.json"])
+    def test_one_window_prints_the_run_summary(self, tmp_path, source):
+        # a window that holds the whole run holds the same packets as
+        # rtt_summary.csv, so both print the same min, avg, max and count
+        if source.endswith(".json"):
+            cfg, flags = str(shipped(source)), ["--window", "10"]
+        else:
+            from perfbench import workloads
+
+            cfg, flags = str(workloads.generate(source, 401, tmp_path / "in").config_path), []
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out), *flags]) == 0
+        (window,) = read_intervals(out)
+        with open(out / "rtt_summary.csv", newline="") as f:
+            (summary,) = csv.DictReader(f)
+        assert [window[f"{k}_latency_ms"] for k in ("min", "avg", "max")] == [
+            summary[f"{k}_ms"] for k in ("min", "avg", "max")
+        ]
+        assert window["delivered"] == summary["count"]
+
 
     def test_parser_built_once_and_nothing_parsed_leaks(self, tmp_path, monkeypatch):
         built = []

@@ -17,7 +17,7 @@ from perfbench import run, workloads
 
 SEED = 401
 DIGESTS = {
-    "fanin_many_nodes": "5a3bdcf3f3c0af04cb25ec7aaa0057757c4bb0008993978d2dfa952400818922",
+    "fanin_many_nodes": "605152c29503d446642ef29ea635708fbe9be0e33f3eaf54eb7636758f5810a1",
     "burst_few_nodes": "6e4b335fe02cdb28b13e30598024dca951db294ecf7530a5a6f7bf042c751993",
     "fading_compare": "fefb8d08a98ab4b02aad445287b7fe23bdd171a494fcb411d04330acd1d0ce31",
     "model_validation": "528e58499c505e232556038d697e939b624df897746e2bd1020aa21d0edec1ed",
@@ -35,7 +35,7 @@ def test_seed_401_digest(name, tmp_path):
 
 SHIPPED = {
     ("simulate", "default_simulate.json"): (
-        "5c0c79890614df53c010b0f004a198b966f4045d020f1368ceef1d28d429f4db"
+        "5b6449ad806c1002a17ac6fb0214fab798a9f341fcb83275c4cee0c9e88bb799"
     ),
     ("simulate", "high_load_trend.json"): (
         "be3c47aeabdad1242e1ae2304bd4d783fbb0aa1035c057e51310262362d59589"

@@ -35,7 +35,6 @@ from iiot_netsim.sim_engine import (
     CentralServer,
     FadingSpec,
     PacketColumns,
-    PacketRecord,
     SimulationConfig,
     _leg_success_prob,
     _TickDraws,
@@ -51,11 +50,10 @@ SHIPPED = resources.files("iiot_netsim") / "configs"
 
 
 def same_columns(a: PacketColumns, b: PacketColumns) -> bool:
-    """Column-for-column equality; lost packets' NaN latencies compare equal."""
-    return all(
-        getattr(a, f).dtype == getattr(b, f).dtype
-        and np.array_equal(getattr(a, f), getattr(b, f), equal_nan=True)
-        for f in PacketRecord._fields
+    """Equal tick_s, and column-for-column equality."""
+    return a.tick_s == b.tick_s and all(
+        getattr(a, f).dtype == getattr(b, f).dtype and np.array_equal(getattr(a, f), getattr(b, f))
+        for f in sim_engine._COLUMNS
     )
 
 
@@ -167,7 +165,7 @@ class TestConfigValidation:
             make_config(tick_s=tick_s)
 
     def test_runs_the_longest_ticks(self):
-        cfg = make_config(tick_s=2.0**30, duration_s=2.0**31)
+        cfg = make_config(tick_s=2.0**30, duration_s=2.0**31, report_window_s=2.0**30)
         records = run_simulation(cfg).records
         assert records.delivered.all()
         assert records.latency_s.min() >= cfg.min_legs() * cfg.one_way_s()
@@ -181,11 +179,18 @@ class TestConfigValidation:
         # start, and tick 5 draws a service of more than 2**31 s
         hop = replace(make_hop(proc=0.0), service_rate=1e-9, arrival_rate=1e-12)
         cfg = make_config(
-            node_count=1, tick_s=2.0**30, duration_s=2.0**34, base_hop=hop,
-            packets_per_node_per_tick=1, qos_level=0, max_retries_per_leg=0,
+            node_count=1, tick_s=2.0**30, duration_s=2.0**34, report_window_s=2.0**30,
+            base_hop=hop, packets_per_node_per_tick=1, qos_level=0, max_retries_per_leg=0,
         )
         with pytest.raises(InvalidConfigError, match=f"^{what} .*overflows int64 time"):
             run_tick(make_state(cfg), t)
+
+    @pytest.mark.parametrize("window", [0.5, 1e-7, 1e-300])
+    def test_rejects_window_shorter_than_a_tick(self, window):
+        # packets are binned by their tick's start, so such a window only
+        # adds windows no packet can fall into
+        with pytest.raises(InvalidConfigError, match="^report_window_s must be .* >= tick_s"):
+            make_config(report_window_s=window)
 
     def test_rejects_negative_growth(self):
         with pytest.raises(InvalidConfigError):
@@ -484,11 +489,12 @@ def ref_run_tick(state, t, jitter_u=None) -> PacketColumns:
     waits, state.server.free_at = lindley_waits(
         state.server.free_at, arrived, service[queued].tolist()
     )
-    latency = np.full(len(send), math.nan)
+    latency = np.zeros(len(send), dtype=np.int64)
     for i, wait in zip(queued.tolist(), waits):
-        latency[i] = (int(legs[i]) * one_way_q + wait) / unit
+        latency[i] = int(legs[i]) * one_way_q + wait
     send_s = tick_start + send / unit
-    return PacketColumns(np.full(len(send), tick_start), send_s, legs, delivered, latency)
+    ticks = np.full(len(send), t, dtype=np.int64)
+    return PacketColumns(float(cfg.tick_s), ticks, send_s, legs, delivered, latency)
 
 
 CHANNELS = [
@@ -900,7 +906,7 @@ class TestRecordColumns:
         # record_bytes measures a one-tick run: the columns plus a few kB of
         # fixed objects (array headers, the interpreter's free lists)
         tick = run_simulation(replace(cfg, duration_s=cfg.tick_s)).records
-        column_bytes = sum(getattr(tick, f).nbytes for f in PacketRecord._fields) / len(tick)
+        column_bytes = sum(getattr(tick, f).nbytes for f in sim_engine._COLUMNS) / len(tick)
         assert column_bytes <= record_bytes(cfg) <= column_bytes + 8
 
 
@@ -977,7 +983,7 @@ class TestServerOrderOnTiedArrivals:
         state = make_state(cfg)
         origin = round((t - 1) * cfg.tick_s * UNITS_PER_S)
         state.server.free_at = origin + backlog
-        got = run_tick(state, t, draws=_TickDraws((t - 1) * cfg.tick_s, send, z, leg_u, service))
+        got = run_tick(state, t, draws=_TickDraws(t, send, z, leg_u, service))
 
         legs = got.attempts.tolist()
         arrival = [s + k * cfg._one_way_q for s, k in zip(send.tolist(), legs)]
@@ -985,10 +991,10 @@ class TestServerOrderOnTiedArrivals:
         waits, free_at = lindley_waits(
             origin + backlog, [origin + arrival[i] for i in queued], service[queued].tolist()
         )
-        want = np.full(n, math.nan)
+        want = np.zeros(n, dtype=np.int64)
         for i, wait in zip(queued, waits):
-            want[i] = (legs[i] * cfg._one_way_q + wait) / UNITS_PER_S
-        assert np.array_equal(got.latency_s, want, equal_nan=True)
+            want[i] = legs[i] * cfg._one_way_q + wait
+        assert np.array_equal(got.latency_q, want)
         assert state.server.free_at == free_at
 
 
