@@ -11,7 +11,7 @@ quadratures has Rayleigh-distributed magnitude; adding a line-of-sight
 component A*exp(j*theta) makes the magnitude Rician with K = A^2/(2*sigma^2).
 Complex AWGN of power spectral density N0 has variance N0/2 per quadrature.
 
-Only rician_pdf imports scipy (scipy.special.i0e).
+Only rician_mean and rician_pdf import scipy (scipy.special).
 """
 from __future__ import annotations
 
@@ -112,6 +112,23 @@ def rayleigh_cdf(r, sigma: float):
     r = np.asarray(r, dtype=float)
     out = 1.0 - np.exp(-(r * r) / (2.0 * sigma * sigma))
     return out if out.ndim else float(out)
+
+
+def rician_mean(params: RicianParams) -> float:
+    """Mean of the Rician magnitude, s*sqrt(pi/2)*L_1/2(-A^2/(2 s^2)).
+
+    The Laguerre function is written with the exponentially-scaled
+    Bessels, exp(-y)*[(1+2y)*I0(y) + 2y*I1(y)] with y = A^2/(4 s^2), so no
+    term overflows.
+    """
+    from scipy import special
+
+    ratio = params.amplitude / params.sigma
+    if ratio > 1e8:  # the mean is A*(1 + s^2/(2 A^2) + ...), A to within 1e-16
+        return params.amplitude
+    y = ratio * ratio / 4.0
+    scaled = (1.0 + 2.0 * y) * special.i0e(y) + 2.0 * y * special.i1e(y)
+    return params.sigma * math.sqrt(math.pi / 2.0) * float(scaled)
 
 
 def rician_pdf(r, params: RicianParams):

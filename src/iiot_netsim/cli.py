@@ -6,7 +6,8 @@ Every file-writing command drops a manifest.json next to its outputs;
 the manifest's config snapshot plus seed reproduces the CSVs byte for
 byte.  A command exits 0 on success; a failure prints a single
 "error: ..." line to stderr and exits with the code its error type
-carries (errors.NetsimError.exit_code; 2 for an OSError).
+carries (errors.NetsimError.exit_code; 2 for an OSError or a
+MemoryError, such as numpy's refusal of an oversized --samples).
 
 Units at this boundary are human-facing (milliseconds, dB); everything
 internal is SI.  Seed precedence: --seed, then IIOT_NETSIM_SEED, then
@@ -36,6 +37,7 @@ from .channel_models import (
     RicianParams,
     rayleigh_cdf,
     rayleigh_pdf,
+    rician_mean,
     rician_pdf,
     sample_awgn_batch,
     sample_rayleigh_gain_batch,
@@ -60,6 +62,9 @@ DEFAULT_SEED = 42
 KS_SIGNIFICANCE = 0.01
 MOMENT_SE_LIMIT = 5.0
 PDF_BINS = 64
+# scipy's Rician CDF, which the KS check needs, costs time linear in A/sigma:
+# ~0.5 s per 100k samples at this ratio
+RICIAN_MAX_LOS_RATIO = 100.0
 
 # hop key at the boundary -> (HopConfig field, factor to SI units)
 _HOP_FIELDS = {
@@ -332,12 +337,20 @@ def _channel_samples(args, seed: int) -> tuple[np.ndarray, float, str]:
 
 
 def cmd_validate_channel(args) -> int:
-    from scipy import stats
-
     t0 = time.perf_counter()
     if args.samples < 100:
         raise InvalidParameterError(f"--samples must be >= 100, got {args.samples}")
     seed = resolve_seed(args.seed, DEFAULT_SEED)
+    if args.kind == "rician":  # the reference law, refused before any draw
+        ref_sigma = args.sigma if args.reference_sigma is None else args.reference_sigma
+        ref = RicianParams(amplitude=args.amplitude, sigma=ref_sigma, phase=args.phase)
+        if ref.amplitude > RICIAN_MAX_LOS_RATIO * ref.sigma:
+            raise InvalidParameterError(
+                f"amplitude / sigma must be <= {RICIAN_MAX_LOS_RATIO:g} for the KS check, "
+                f"got {ref.amplitude / ref.sigma:.6g}"
+            )
+    from scipy import stats
+
     z, sigma, law = _channel_samples(args, seed)
     failed = []  # every failed check, reported after the evidence is written
     if args.kind == "awgn":
@@ -358,11 +371,9 @@ def cmd_validate_channel(args) -> int:
         pdf = lambda r: rayleigh_pdf(r, sigma)
         mean_analytic = sigma * math.sqrt(math.pi / 2.0)
     else:
-        ref = RicianParams(amplitude=args.amplitude, sigma=sigma, phase=args.phase)
-        dist = stats.rice(args.amplitude / sigma, scale=sigma)
-        cdf = dist.cdf
+        cdf = stats.rice(ref.amplitude / ref.sigma, scale=ref.sigma).cdf
         pdf = lambda r: rician_pdf(r, ref)
-        mean_analytic = float(dist.mean())
+        mean_analytic = rician_mean(ref)
 
     # the CSV is written before the verdict so a failing run leaves evidence
     edges = np.linspace(0.0, float(mags.max()), PDF_BINS + 1)
@@ -562,8 +573,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NetsimError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (NetsimError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return getattr(e, "exit_code", 2)
 
 

@@ -3,18 +3,20 @@
 Consumes the struct-of-arrays that sim_engine.run_simulation returns
 (sim_engine.PacketColumns: the run's tick_s, and one array each of tick,
 send_time_s, attempts, delivered and latency_q, row i describing one
-packet); produces the round-trip summary, fixed-window interval series,
-and the running mean latency behind the fading-comparison table, each
-summary with a CSV mirror.  Latencies are reported in milliseconds.
-Every reduction is exact on the integer latencies: sums are Python ints,
-and each min, mean and max is one correctly rounded division (_ms), so
-min <= avg <= max, and two summaries of the same packets agree.  This
-is the only module that summarizes records; the simulator returns them.
+packet); produces the round-trip summary, the interval series over
+windows of whole ticks, and the running mean latency behind the
+fading-comparison table, each summary with a CSV mirror.  Latencies are
+reported in milliseconds.  Every reduction is exact on the integer
+latencies: sums are Python ints, and each min, mean and max is one
+correctly rounded division (_ms), so min <= avg <= max, and two
+summaries of the same packets agree.  This is the only module that
+summarizes records; the simulator returns them.
 """
 from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -97,39 +99,50 @@ def mean_latency_so_far(records, times) -> list[float | None]:
     return [_ms(sums[k], k) if k else None for k in counts]
 
 
+def _whole_ticks(span: float, tick_s: float) -> int:
+    """span / tick_s when it is within 1e-9 of a whole number >= 1, else 0:
+    the rule for every span the program counts in ticks."""
+    if not 0 < span <= sys.float_info.max:  # also an int past the float range
+        return 0
+    n = span / tick_s  # inf when a tiny tick_s overflows it
+    if n == math.inf or abs(n - round(n)) > 1e-9 or round(n) < 1:
+        return 0
+    return round(n)
+
+
 def windowed_series(
     records, window: float, bits_per_packet: float, span_s: float
 ) -> list[IntervalReport]:
-    """Partition records by send tick into the fixed windows covering
-    [0, span_s), including windows where no traffic was offered; the last
-    window ends at span_s, so it can be shorter than window.
+    """Partition records by send tick into the fixed windows covering the
+    span_s / tick_s ticks of a run, including windows where no traffic was
+    offered.  window and span_s are whole numbers of ticks, k and n:
+    window i holds ticks 1 + i*k to (i+1)*k, and the last ends at tick n,
+    so it can be shorter than window and is as long as its ticks.
 
-    A packet belongs to the window containing its tick's start, found
-    exactly from its tick number, so counts telescope.  records must be
-    in tick order, as a run returns them.
+    records must be in tick order, as a run returns them.
     """
-    if not records.tick_s <= window < math.inf:  # a shorter window holds no tick
-        raise InvalidParameterError(f"window must be finite and >= tick_s, got {window}")
-    if not 0 < span_s < math.inf:
-        raise InvalidParameterError(f"span_s must be finite and > 0, got {span_s}")
-    from fractions import Fraction  # imports decimal, ~5 ms: only simulate pays it
-
-    w, span = Fraction(window), Fraction(span_s)
-    n_windows = max(1, math.ceil(span / w))
-    # window i starts at tick 1 + ceil(i * w / tick_s), the first to start at i * w or later
-    p, q = (w / Fraction(records.tick_s)).as_integer_ratio()
-    edges = np.searchsorted(records.tick, [1 - (-i * p // q) for i in range(n_windows + 1)])
-    lengths = [window] * (n_windows - 1) + [float(span - (n_windows - 1) * w)]
+    k = _whole_ticks(window, records.tick_s)
+    if not k:
+        raise InvalidParameterError(
+            f"window must be finite and >= tick_s, a whole number of ticks, got {window}"
+        )
+    n = _whole_ticks(span_s, records.tick_s)
+    if not n:
+        raise InvalidParameterError(f"span_s must be a whole number of ticks, got {span_s}")
+    ends = [*range(0, n, k), n]  # the last tick of each window, after a 0
+    edges = np.searchsorted(records.tick, ends, side="right").tolist()
 
     out = []
-    for i, (a, b, length) in enumerate(zip(edges.tolist(), edges[1:].tolist(), lengths)):
+    for i, (a, b) in enumerate(zip(edges, edges[1:])):
+        ticks = ends[i + 1] - ends[i]
+        length = window if ticks == k else ticks * records.tick_s
         window_q = records.latency_q[a:b][records.delivered[a:b]]
         lo, avg, hi = latency_stats(window_q)
-        n = window_q.size
+        n_ok = window_q.size
         out.append(IntervalReport(
             window_start_s=i * window, window_len_s=length,
-            sent=b - a, delivered=n, lost=b - a - n,
-            throughput_bps=n * bits_per_packet / length,
+            sent=b - a, delivered=n_ok, lost=b - a - n_ok,
+            throughput_bps=n_ok * bits_per_packet / length,
             avg_latency_ms=avg, min_latency_ms=lo, max_latency_ms=hi,
         ))
     return out

@@ -19,6 +19,9 @@ Times are int64 counts of 2**-32 s from the tick's start: send offsets
 and service times round to the nearest unit, one_way up, so latency is
 exact and never below min_legs * one_way.  The records keep it in those
 units, with each packet's tick number, and reporting reduces them exactly.
+duration_s and report_window_s are whole numbers of ticks (one rule,
+reporting._whole_ticks), so a report window holds the packets of its
+ticks and no others.
 
 Per tick, run_tick draws, then resolves.  A run keys one Philox
 generator once; a domain's substream of tick t is the counter
@@ -67,7 +70,7 @@ from .qos_state_machine import (
     MIN_LEGS, _check_level, handshake_legs, handshake_rows, max_total_legs
 )
 from .queueing_model import QueueParams
-from .reporting import mean_latency_so_far
+from .reporting import _whole_ticks, mean_latency_so_far
 from .rng import (
     DOMAIN_CHANNEL,
     DOMAIN_LEG,
@@ -158,10 +161,10 @@ class SimulationConfig:
             raise InvalidConfigError(f"duration_s must be finite and > 0, got {self.duration_s}")
         if not 0 < self.tick_s < 2**31:  # so tick-local times in units fit int64
             raise InvalidConfigError(f"tick_s must be in (0, 2**31) s, got {self.tick_s}")
-        n = self.duration_s / self.tick_s  # inf when a tiny tick_s overflows it
-        if n == math.inf or abs(n - round(n)) > 1e-9 or not 1 <= round(n) < 2**32:
+        if not 0 < _whole_ticks(self.duration_s, self.tick_s) < 2**32:
             raise InvalidConfigError(
-                f"duration_s must be a whole number of ticks, 1 to under 2**32 ticks, got {n:.6g}"
+                "duration_s must be a whole number of ticks, 1 to under 2**32 ticks, "
+                f"got {self.duration_s / self.tick_s:.6g}"
             )
         if not 0 <= self.packets_per_node_per_tick < 2**32:
             raise InvalidConfigError("packets_per_node_per_tick must be in [0, 2**32)")
@@ -175,9 +178,10 @@ class SimulationConfig:
             final = math.inf
         if final == math.inf:
             raise InvalidConfigError("rate_growth_per_tick or tick_s overflows the peak rate")
-        if not self.tick_s <= self.report_window_s <= _FLOAT_MAX:  # a shorter one holds no tick
+        if not _whole_ticks(self.report_window_s, self.tick_s):
             raise InvalidConfigError(
-                f"report_window_s must be finite and >= tick_s, got {self.report_window_s}"
+                "report_window_s must be finite and >= tick_s, a whole number of ticks, "
+                f"got {self.report_window_s}"
             )
         if self.snr_threshold_db is not None and not abs(self.snr_threshold_db) <= _FLOAT_MAX:
             raise InvalidConfigError("snr_threshold_db must be finite or None")
@@ -191,7 +195,7 @@ class SimulationConfig:
             )
 
     def n_ticks(self) -> int:
-        return int(round(self.duration_s / self.tick_s))
+        return _whole_ticks(self.duration_s, self.tick_s)
 
     def one_way_s(self) -> float:
         """Per-leg delay implied by the base hop, rounded up to the time unit."""

@@ -12,6 +12,7 @@ from iiot_netsim.channel_models import (
     channel_gain,
     rayleigh_cdf,
     rayleigh_pdf,
+    rician_mean,
     rician_pdf,
     sample_awgn_batch,
     sample_rayleigh_gain_batch,
@@ -125,6 +126,26 @@ def test_pdf_normalization_sweep(amplitude, sigma):
     assert abs(val - 1.0) < 1e-6
     val_ray, _ = integrate.quad(lambda r: rayleigh_pdf(r, sigma), 0.0, 12.0 * sigma)
     assert abs(val_ray - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 3.0, 30.0, 40.0, 1e3, 1e6, 1e8, 2e8, 1e200])
+def test_rician_mean_matches_the_laguerre_form(ratio):
+    # s*sqrt(pi/2)*1F1(-1/2; 1; -A^2/(2 s^2)) in 40 digits; scipy's
+    # rice.mean is inf or NaN from A/s = 38 and hangs near 1e8
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    laguerre = mpmath.hyp1f1(-0.5, 1, -mpmath.mpf(ratio) ** 2 / 2)
+    ref = 2.0 * float(mpmath.sqrt(mpmath.pi / 2) * laguerre)
+    got = rician_mean(RicianParams(amplitude=2.0 * ratio, sigma=2.0))
+    assert got == pytest.approx(ref, rel=1e-15)
+
+
+def test_rician_mean_matches_scipy_where_scipy_is_finite():
+    for ratio in [0.0, 0.1, 1.0, 5.0, 10.0, 30.0]:
+        expect = stats.rice(ratio, scale=0.7).mean()
+        assert rician_mean(RicianParams(amplitude=0.7 * ratio, sigma=0.7)) == pytest.approx(
+            expect, rel=1e-14
+        )
 
 
 # ---- the single gain source ---------------------------------------------

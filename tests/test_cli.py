@@ -296,6 +296,32 @@ class TestSimulate:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("window", ["2.5", "1.5"])
+    def test_window_not_whole_ticks_exits_2(self, tmp_path, capsys, window):
+        # a 2.5 s window of 1 s ticks would hold 3 ticks, then 2, each
+        # divided by 2.5 s
+        out = tmp_path / "o"
+        cfg = str(shipped("default_simulate.json"))
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out), "--window", window]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: report_window_s must be finite and >= tick_s")
+        assert "whole number of ticks" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_nearly_whole_duration_writes_whole_windows(self, tmp_path):
+        # 0.9 / 0.3 is just above 3 as doubles; 0.9 s is still 3 ticks,
+        # so 3 windows of 0.3 s, with no sliver window after them
+        doc = load_doc("default_simulate.json")
+        doc.update(duration_s=0.9, tick_s=0.3, report_window_s=0.3, packets_per_node_per_tick=10)
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 0
+        rows = read_intervals(out)
+        assert [(r["window_start_s"], r["window_len_s"]) for r in rows] == [
+            ("0.0", "0.3"), ("0.3", "0.3"), ("0.6", "0.3")
+        ]
+        assert {r["sent"] for r in rows} == {str(10 * doc["node_count"])}
+
     @pytest.mark.parametrize("source", ["fanin_many_nodes", "default_simulate.json"])
     def test_one_window_prints_the_run_summary(self, tmp_path, source):
         # a window that holds the whole run holds the same packets as
@@ -447,7 +473,8 @@ def test_library_rejection_leaves_no_output_dir(
     assert not out.exists()
 
 
-# every package error type, and OSError, with the literal code main returns
+# every package error type, OSError and MemoryError, with the literal
+# code main returns
 EXIT_CODES = {
     errors.NetsimError: 2,
     errors.InvalidParameterError: 2,
@@ -457,6 +484,7 @@ EXIT_CODES = {
     errors.InvalidConfigError: 2,
     errors.StatisticalCheckError: 4,
     OSError: 2,
+    MemoryError: 2,
 }
 
 
@@ -474,7 +502,7 @@ def test_exit_codes_cover_every_error_type():
     package = {
         v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception)
     }
-    assert package | {OSError} == set(EXIT_CODES)
+    assert package | {OSError, MemoryError} == set(EXIT_CODES)
 
 
 @pytest.mark.parametrize("error", list(EXIT_CODES), ids=lambda e: e.__name__)
@@ -484,6 +512,32 @@ def test_each_error_type_exits_with_its_code(monkeypatch, capsys, error):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: stubbed failure\n"
+
+
+def test_bare_memory_error_still_prints_a_message(monkeypatch, capsys):
+    stub_command(monkeypatch, MemoryError())
+    assert cli.main(["any"]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate-channel", "--kind", "rayleigh", "--samples", str(10**15)],
+        ["qos-reliability", "0.9", "0.9", "0.9", "0.9", "--samples", str(10**15)],
+    ],
+    ids=["validate-channel", "qos-reliability"],
+)
+def test_oversized_sample_count_exits_2(tmp_path, capsys, argv):
+    # numpy refuses an array of petabytes at once, before touching memory
+    out = tmp_path / "o"
+    extra = ["--out", str(out)] if argv[0] == "validate-channel" else []
+    assert cli.main(argv + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_other_exceptions_propagate(monkeypatch, capsys):
@@ -624,6 +678,34 @@ class TestValidateChannel:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "sigma" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_strong_line_of_sight_passes(self, tmp_path, capsys):
+        # A/sigma = 40, where scipy's Rician mean is NaN
+        out = tmp_path / "v"
+        argv = ["validate-channel", "--kind", "rician", "--amplitude", "40", "--sigma", "1"]
+        assert cli.main(argv + ["--samples", "10000", "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert "check mean: 39.9906 expected 40.0125" in stdout and "pass" in stdout
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            ["--amplitude", "100.5", "--sigma", "1"],
+            ["--amplitude", "1e308", "--sigma", "1e-300"],
+            ["--amplitude", "50", "--sigma", "1", "--reference-sigma", "0.25"],
+        ],
+        ids=["past-bound", "overflowing-ratio", "reference-sigma"],
+    )
+    def test_reference_law_beyond_bound_exits_2_promptly(self, tmp_path, capsys, law):
+        out = tmp_path / "v"
+        t0 = time.perf_counter()
+        rc = cli.main(["validate-channel", "--kind", "rician", *law, "--out", str(out)])
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: amplitude / sigma must be <= 100")
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 

@@ -184,12 +184,14 @@ class TestWindowedSeries:
         assert out[0].sent == 0 and out[1].sent == 1
 
     def test_tick_binned_by_its_exact_start(self):
-        # tick 4 of 0.1 s ticks starts at 3 * 0.1, just below this window's
-        # end; the float product 3 * 0.1 rounds onto the end
-        window = math.nextafter(0.3, 1.0)
-        assert 3 * 0.1 == window and 3 * Fraction(0.1) < Fraction(window)
-        out = windowed_series(cols([delivered(4, 2.0)], tick_s=0.1), window, 1000.0, span_s=0.6)
-        assert [w.sent for w in out] == [1, 0]
+        # a window of 3 ticks of 0.1 s, as the double 1 ulp below or above
+        # 0.3: tick 4 starts exactly 3 ticks in, so it opens the second
+        # window whichever way the doubles round
+        recs = cols([delivered(4, 2.0)], tick_s=0.1)
+        for window in [0.3, 3 * 0.1]:
+            assert 3 * Fraction(0.1) != Fraction(window)
+            out = windowed_series(recs, window, 1000.0, span_s=0.6)
+            assert [w.sent for w in out] == [0, 1]
 
     def test_partial_last_window(self):
         # 300 packets per 1 s tick over 10 s in 3 s windows: the last one
@@ -216,6 +218,31 @@ class TestWindowedSeries:
     def test_bad_span_rejected(self, span_s):
         with pytest.raises(InvalidParameterError, match="span_s"):
             windowed_series(cols([]), 1.0, 1000.0, span_s=span_s)
+
+    @pytest.mark.parametrize(
+        "tick_s,window,span_s,what",
+        [
+            # 2.5 ticks would count 3 ticks and 2 ticks in turn, each over 2.5 s
+            (1.0, 2.5, 10.0, "window"),
+            (1.0, 1.5, 10.0, "window"),
+            (0.25, 0.625, 10.0, "window"),
+            (1.0, 2.0, 12.5, "span_s"),
+            (0.25, 0.5, 0.3, "span_s"),
+            (1.0, 1.0, 10**400, "span_s"),  # an int past the float range
+        ],
+        ids=["2.5-ticks", "1.5-ticks", "2.5-quarter-ticks", "span-12.5", "span-0.3", "span-huge-int"],
+    )
+    def test_window_or_span_not_whole_ticks_rejected(self, tick_s, window, span_s, what):
+        recs = cols([delivered(t, 2.0) for t in range(1, 11)], tick_s=tick_s)
+        match = "window must be finite and >= tick_s" if what == "window" else "span_s"
+        with pytest.raises(InvalidParameterError, match=match):
+            windowed_series(recs, window, 1000.0, span_s=span_s)
+
+    def test_ticks_past_the_span_are_not_counted(self):
+        # 5 ticks of records, a span of 3: the last window holds tick 3 only
+        recs = cols([delivered(t, 2.0) for t in range(1, 6)])
+        out = windowed_series(recs, 2.0, 1000.0, span_s=3.0)
+        assert [(w.window_len_s, w.sent) for w in out] == [(2.0, 2), (1.0, 1)]
 
 
 class TestMeanLatencySoFar:
@@ -361,7 +388,7 @@ class TestFadingComparisonTable:
 
 
 # Exact references over plain rows (tick, send_time_s, attempts, delivered,
-# latency units): Python-int sums, Fraction window bounds, and each value
+# latency units): Python-int sums, windows as tick ranges, and each value
 # the float nearest the exact one (q_ms), independent of the limb sums.
 def ref_stats(qs):
     if not qs:
@@ -380,16 +407,15 @@ def ref_mean_latency_so_far(rows, times):
 
 
 def ref_windowed_series(rows, tick_s, window, bits_per_packet, span_s):
-    w, span = Fraction(window), Fraction(span_s)
-    n_windows = max(1, math.ceil(span / w))
-    buckets = {}
-    for r in rows:
-        buckets.setdefault(math.floor((r[0] - 1) * Fraction(tick_s) / w), []).append(r)
+    # window and span_s are k and n whole ticks: window i holds ticks
+    # 1 + i*k to (i+1)*k, and the last ends at tick n
+    k, n = round(window / tick_s), round(span_s / tick_s)
     out = []
-    for i in range(n_windows):
-        group = buckets.get(i, [])
+    for i, first in enumerate(range(1, n + 1, k)):
+        ticks = range(first, min(first + k, n + 1))
+        group = [r for r in rows if r[0] in ticks]
         ok = [r[4] for r in group if r[3]]
-        length = float(min(w, span - i * w))
+        length = window if len(ticks) == k else len(ticks) * tick_s
         lo, avg, hi = ref_stats(ok)
         out.append(
             IntervalReport(
@@ -448,14 +474,18 @@ class TestColumnsMatchListReference:
     @given(
         rows=packet_rows(),
         tick_s=st.sampled_from([0.1, 0.25, 1.0]),
-        window_ticks=st.sampled_from([1.0, 1.5, 2.5, 3.0, 10.0]),
-        span_s=st.sampled_from([0.3, 1.0, 5.0, 10.0, 12.5]),
+        window_ticks=st.sampled_from([1, 2, 3, 10]),
+        # rows reach tick 12, so a span can end before, on or after the last
+        span_ticks=st.sampled_from([1, 3, 10, 12, 13, 50]),
         # 0.5 and 2.0 are in every send pool, so a time can sit on a tie
         times=st.lists(st.sampled_from([0.5, 2.0]) | st.floats(0.0, 13.0), max_size=6),
     )
     @settings(max_examples=200, deadline=None)
-    def test_summaries_equal_the_list_reference(self, rows, tick_s, window_ticks, span_s, times):
-        assert_matches_reference(rows, tick_s, window_ticks * tick_s, span_s, times)
+    def test_summaries_equal_the_list_reference(
+        self, rows, tick_s, window_ticks, span_ticks, times
+    ):
+        window, span_s = window_ticks * tick_s, span_ticks * tick_s
+        assert_matches_reference(rows, tick_s, window, span_s, times)
 
     def test_run_whose_int64_sum_wraps(self):
         # each latency is about 2**28 s, 2**60 units: eight sum past 2**63

@@ -116,14 +116,20 @@ result = per_packet_error_probability(
 ).tolist()
 """
 
+RICIAN_MEAN = """\
+from iiot_netsim.channel_models import RicianParams, rician_mean
+result = [rician_mean(RicianParams(amplitude=a, sigma=1.0)) for a in (0.0, 1.0, 40.0, 1e9)]
+"""
+
 
 @pytest.mark.parametrize(
     "snippet,needs",
     [
         (VALIDATE_CHANNEL, "scipy.stats"),
         (PER_PACKET_ERROR, "scipy.special"),
+        (RICIAN_MEAN, "scipy.special"),
     ],
-    ids=["validate-channel", "per_packet_error_probability"],
+    ids=["validate-channel", "per_packet_error_probability", "rician_mean"],
 )
 def test_fresh_call_matches_in_process_call(tmp_path, monkeypatch, snippet, needs):
     monkeypatch.delenv("IIOT_NETSIM_SEED", raising=False)

@@ -185,6 +185,16 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError, match=f"^{what} .*overflows int64 time"):
             run_tick(make_state(cfg), t)
 
+    @pytest.mark.parametrize(
+        "window,tick_s",
+        [(2.5, 1.0), (1.5, 1.0), (10**400, 1.0), (5.0, 0.3)],
+        ids=["2.5-ticks", "1.5-ticks", "huge-int", "default-of-0.3-ticks"],
+    )
+    def test_rejects_window_not_whole_ticks(self, window, tick_s):
+        match = "^report_window_s must be .* whole number of ticks"
+        with pytest.raises(InvalidConfigError, match=match):
+            make_config(tick_s=tick_s, duration_s=3 * tick_s, report_window_s=window)
+
     @pytest.mark.parametrize("window", [0.5, 1e-7, 1e-300])
     def test_rejects_window_shorter_than_a_tick(self, window):
         # packets are binned by their tick's start, so such a window only
@@ -1055,6 +1065,22 @@ class TestTrafficLoopback:
     def windows(cfg):
         records = run_simulation(cfg).records
         return windowed_series(records, 5.0, cfg.base_hop.packet_length, span_s=cfg.duration_s)
+
+    def test_constant_rate_fills_every_three_tick_window_alike(self):
+        # 3.0 s is 30 ticks of 0.1 s, and 3.0 / 0.3 is just above 10 as
+        # doubles: the run reports exactly 10 windows of 3 ticks, each with
+        # the same count and throughput
+        cfg = make_config(
+            node_count=5, duration_s=3.0, tick_s=0.1, report_window_s=0.3,
+            packets_per_node_per_tick=6, max_retries_per_leg=0,
+        )
+        reports = windowed_series(
+            run_simulation(cfg).records, cfg.report_window_s, cfg.base_hop.packet_length,
+            span_s=cfg.duration_s,
+        )
+        assert len(reports) == 10
+        assert {(r.window_len_s, r.sent, r.lost) for r in reports} == {(0.3, 90, 0)}
+        assert len({r.throughput_bps for r in reports}) == 1
 
     def test_default_profile_exact_windows(self):
         cfg = make_config(node_count=5, duration_s=60.0, packets_per_node_per_tick=60)
