@@ -492,7 +492,7 @@ def cmd_queue(args) -> int:
     params = QueueParams(lam=args.lam, mu=args.mu, servers=args.servers)
     erlang_c = erlang_c_probability(params)
     # mean_wait_in_queue's expression on the C(c, rho) just computed, which
-    # costs O(rho) at large loads
+    # costs O(rho) steps at large loads (up to MAX_ERLANG_LOAD Erlangs)
     wq = erlang_c / (params.servers * params.mu - params.lam)
     print(QUEUE_HEADER)
     print(f"{_fmt(args.lam)},{_fmt(args.mu)},{args.servers},{_fmt(erlang_c)},{_fmt(wq)}")

@@ -100,22 +100,22 @@ def handshake_legs(
             delivered |= alive & pub
             alive &= ~(pub & ack)
         return delivered, legs
-    # QoS 2: four legs, each a capped geometric number of attempts
-    alive = np.ones(n, dtype=bool)
-    legs = np.zeros(n, dtype=np.int64)
+    # QoS 2: four legs, each a capped geometric number of attempts, all
+    # four in one pass over the (4, n) array.  p <= 0 takes log1p(-p) as
+    # -0.0, so its ratios are +inf or NaN, and NaN means an exhausted budget
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        denom = np.log1p(-p)  # -inf at p=1, 0 at p=0
-        for i in range(4):
-            ratio = np.log1p(-leg_u[i]) / denom
-            # capped before the integer cast: a tiny p gives a ratio past
-            # the int64 range (or inf), and NaN also means an exhausted budget
-            trials = np.fmin(np.ceil(ratio), budget + 1)
-            trials = np.maximum(trials, 1.0)
-            trials = np.where(p <= 0.0, budget + 1, trials).astype(np.int64)
-            consumed = np.minimum(trials, budget)
-            legs[alive] += consumed[alive]
-            alive &= trials <= budget
-    return alive, legs
+        denom = np.where(p <= 0.0, -0.0, np.log1p(-p))  # -inf at p=1
+        ratio = np.log1p(-leg_u) / denom
+    # capped before the integer cast: a tiny p gives a ratio past the int64 range
+    trials = np.maximum(np.fmin(np.ceil(ratio), budget + 1), 1.0).astype(np.int64)
+    # alive[i]: legs 0..i all within budget, so leg i + 1 is sent; three row
+    # ands, as logical_and.accumulate along axis 0 is several times slower
+    alive = trials <= budget
+    for i in range(1, N_LEGS):
+        alive[i] &= alive[i - 1]
+    consumed = np.minimum(trials, budget)
+    legs = consumed[0] + (consumed[1:] * alive[:-1]).sum(axis=0)
+    return alive[-1].copy(), legs  # a copy, so the records do not keep the (4, n) mask
 
 
 def reliability(params: QoSChainParams) -> float:

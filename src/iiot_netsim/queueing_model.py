@@ -11,10 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InstabilityError, InvalidParameterError
+from .errors import DomainError, InstabilityError, InvalidParameterError
 from .rng import RngStream
 
 WARMUP_FRACTION = 0.1
+# erlang_c_probability refuses an offered load rho above this many Erlangs:
+# past ~708 it runs the Erlang B recursion, about rho + 40*sqrt(rho) steps
+# until B underflows (~0.25 s at the bound on a 2-vCPU host); rho = 5e8 would
+# loop ~2 minutes
+MAX_ERLANG_LOAD = 10**6
 
 
 @dataclass(frozen=True)
@@ -80,9 +85,14 @@ def erlang_c_probability(params: QueueParams) -> float:
     Sums the Poisson terms directly (perfbench's model_validation digest
     pins those values bit for bit); a load whose terms overflow the float
     range (rho above about 708) goes through the Erlang B recursion instead.
+    A load above MAX_ERLANG_LOAD Erlangs raises DomainError.
     """
     params.require_stable()
     c, rho = params.servers, params.rho
+    if rho > MAX_ERLANG_LOAD:
+        raise DomainError(
+            f"Erlang C refused: offered load rho={rho:.6g} is above {MAX_ERLANG_LOAD} Erlangs"
+        )
     partial, top = _poisson_terms(rho, c)
     tail = top / (1.0 - rho / c)
     if math.isinf(partial + tail):

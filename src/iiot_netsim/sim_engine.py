@@ -23,19 +23,24 @@ duration_s and report_window_s are whole numbers of ticks (one rule,
 reporting._whole_ticks), so a report window holds the packets of its
 ticks and no others.
 
-Per tick, run_tick draws, then resolves.  A run keys one Philox
-generator once; a domain's substream of tick t is the counter
-(0, domain, 0, t) under that key (rng.SubstreamGenerator).  The
-draw step takes each domain's draws of the tick from that one
-substream in one call: the nodes' rate jitters (node k's is
-uniform k), the send times, the service times, and on a lossy channel
-the channel normals (a pair per packet) and the leg uniforms
-(handshake_rows per packet).  Node k's packets take positions
-[off_k, off_k + n_k) of every stream, in (node, packet) order.
-The resolve step evaluates the channel and the handshake once on those
-draws and admits the tick's delivered packets to the server in one
-call, in arrival order.  Its records are columns (PacketColumns: one
-array per field), and a run concatenates the ticks column by column.
+A run draws, then resolves, one chunk of consecutive ticks at a time
+(at least _CHUNK_PACKETS packets, or the rest of the run), so it never
+holds more than one chunk's draws.  A run keys one Philox generator
+once; a domain's substream of tick t is the counter (0, domain, 0, t)
+under that key (rng.SubstreamGenerator).  The draw step takes each
+domain's draws of a tick from that one substream in one call, tick by
+tick: the nodes' rate jitters (node k's is uniform k), the send times,
+the service times, and on a lossy channel the channel normals (a pair
+per packet) and the leg uniforms (handshake_rows per packet).  Node k's
+packets take positions [off_k, off_k + n_k) of every stream of its
+tick, in (node, packet) order, and a chunk lays its ticks end to end.
+The resolve step evaluates the channel and the handshake once on the
+whole chunk, then admits each tick's delivered packets to the server in
+one call, tick by tick, in arrival order.  Its records are columns
+(PacketColumns: one array per field), written for the whole chunk at
+once, and a run concatenates its chunks column by column.  run_tick is
+the one-tick chunk; however the ticks are cut into chunks, the records
+are the same.
 
 Determinism: every random quantity comes from a substream keyed by
 (domain, tick), so runs are bit-reproducible.  Every stream is laid out
@@ -45,7 +50,7 @@ Leg outcomes use inverse-CDF geometric draws (a fixed number of
 uniforms per packet) from a stream of their own, so the same seed gives
 every fading kind the same uniforms whether or not it reads the normals,
 coupling the runs for low-variance ordering; compare_fading draws each
-tick once for all kinds, normals included when any kind is lossy.  On a
+chunk once for all kinds, normals included when any kind is lossy.  On a
 lossless channel (the ideal one, fading None, or no SNR threshold) no
 leg can fail, and the tick draws neither the normals nor the leg
 uniforms: every draw it does make is the one a lossy run of the same
@@ -267,6 +272,8 @@ class PacketColumns:
 
     @classmethod
     def concat(cls, parts: list[PacketColumns]) -> PacketColumns:
+        if len(parts) == 1:
+            return parts[0]
         columns = (np.concatenate([getattr(p, f) for p in parts]) for f in _COLUMNS)
         return cls(parts[0].tick_s, *columns)
 
@@ -340,25 +347,33 @@ def _lossy(config: SimulationConfig) -> bool:
     return config.fading is not None and config.snr_threshold_db is not None
 
 
-class _TickDraws(NamedTuple):
-    """Every random draw of one tick, in (node, packet) order.
+# a run resolves its ticks in chunks of at least this many packets (the last
+# chunk may hold fewer, and one tick is never split): enough to share each
+# numpy call of the channel and the handshake among many ticks, while a run
+# holds only one chunk's draws
+_CHUNK_PACKETS = 2**14
+
+
+class _ChunkDraws(NamedTuple):
+    """Every random draw of consecutive ticks first, first + 1, ..., in
+    (tick, node, packet) order; sizes[i] packets belong to tick first + i.
 
     z (the channel normals, 2 x packets) and leg_u (the leg uniforms,
-    handshake_rows x packets) are None in a lossless draw.
+    handshake_rows x packets) are C-contiguous, and None in a lossless draw.
     """
 
-    tick: int
-    send: np.ndarray  # int64 units from the tick's start
+    first: int
+    sizes: np.ndarray  # int64
+    send: np.ndarray  # int64 units from the packet's tick start
     z: np.ndarray | None
     leg_u: np.ndarray | None
     service: np.ndarray  # int64 units
 
 
-def _draw_tick(
-    cfg: SimulationConfig, rng: SubstreamGenerator, t: int, lossy: bool
-) -> _TickDraws:
-    """Draw tick t: send times and service times, plus the channel normals
-    and leg uniforms when lossy, each from its domain's substream
+def _draw_tick(cfg: SimulationConfig, rng: SubstreamGenerator, t: int, lossy: bool) -> tuple:
+    """Tick t's raw draws, packet-major: send uniforms, service times in s,
+    and when lossy the channel normals (packets x 2) and the leg uniforms
+    (packets x handshake_rows), each from its domain's substream
     (domain, 0, t) in one call.
 
     The fading kind is not read, so every config with cfg's traffic can
@@ -377,91 +392,125 @@ def _draw_tick(
     # node k's packets take the same positions in every stream, and the
     # layouts are packet-major, so a node's draws never depend on the
     # nodes after it (see the module docstring)
-    span = cfg.tick_s - cfg.handshake_guard_s()
     send = rng.at((DOMAIN_PACKET, 0, t)).random(total)
-    send = np.rint(send * span * UNITS_PER_S).astype(np.int64)
     service = rng.at((DOMAIN_SERVER, 0, t)).exponential(1.0 / cfg.server_mu(), total)
-    service = np.rint(service * UNITS_PER_S)
-    if service.max(initial=0) >= 2**63:
-        raise InvalidConfigError("a service time of 2**31 s or more overflows int64 time")
     z = leg_u = None
     if lossy:
         leg_rows = handshake_rows(cfg.qos_level, cfg.max_retries_per_leg)
-        z = rng.at((DOMAIN_CHANNEL, 0, t)).standard_normal((total, 2)).T
-        leg_u = rng.at((DOMAIN_LEG, 0, t)).random((total, leg_rows)).T
-    return _TickDraws(t, send, z, leg_u, service.astype(np.int64))
+        z = rng.at((DOMAIN_CHANNEL, 0, t)).standard_normal((total, 2))
+        leg_u = rng.at((DOMAIN_LEG, 0, t)).random((total, leg_rows))
+    return send, service, z, leg_u
 
 
-def _resolve_tick(
-    cfg: SimulationConfig, server: CentralServer, draws: _TickDraws
-) -> PacketColumns:
-    """One tick's packets on cfg's channel, queued at server, from its draws.
+def _join(cfg: SimulationConfig, first: int, ticks: list[tuple]) -> _ChunkDraws:
+    """The chunk of consecutive ticks from first, given their _draw_tick
+    draws: one array per stream, times quantized to the unit."""
+    send, service, z, leg_u = zip(*ticks)
+    sizes = np.array([len(s) for s in send], dtype=np.int64)
+    span = cfg.tick_s - cfg.handshake_guard_s()
+    send = np.rint(np.concatenate(send) * span * UNITS_PER_S).astype(np.int64)
+    service = np.rint(np.concatenate(service) * UNITS_PER_S)
+    if service.max(initial=0) >= 2**63:
+        raise InvalidConfigError("a service time of 2**31 s or more overflows int64 time")
+    if z[0] is not None:  # packets as columns, each stream's rows contiguous
+        z = np.concatenate([a.T for a in z], axis=1)
+        leg_u = np.concatenate([a.T for a in leg_u], axis=1)
+    else:
+        z = leg_u = None
+    return _ChunkDraws(first, sizes, send, z, leg_u, service.astype(np.int64))
 
-    Reads the draws and writes none of them, so several configs can
-    resolve the same draws in turn.
+
+def _draw_chunks(cfg: SimulationConfig, rng: SubstreamGenerator, lossy: bool):
+    """Yield the run's draws chunk by chunk, drawing each chunk only when
+    the previous one has been taken."""
+    ticks, packets, n_ticks = [], 0, cfg.n_ticks()
+    for t in range(1, n_ticks + 1):
+        ticks.append(_draw_tick(cfg, rng, t, lossy))
+        packets += len(ticks[-1][0])
+        if packets >= _CHUNK_PACKETS or t == n_ticks:
+            chunk, ticks, packets = _join(cfg, t + 1 - len(ticks), ticks), [], 0
+            yield chunk
+
+
+def _resolve(cfg: SimulationConfig, server: CentralServer, draws: _ChunkDraws) -> PacketColumns:
+    """A chunk's packets on cfg's channel, queued at server, from its draws.
+
+    The channel and the handshake run once on the whole chunk; the server
+    admits each tick's delivered packets in one call, tick by tick.  Reads
+    the draws and writes none of them, so several configs can resolve the
+    same draws in turn.
     """
-    t, send, z, leg_u, service = draws
+    first, sizes, send, z, leg_u, service = draws
     if _lossy(cfg):
         p_leg = _leg_success_prob(cfg, z)
         delivered, legs = handshake_legs(cfg.qos_level, p_leg, leg_u, cfg.max_retries_per_leg)
     else:  # what handshake_legs returns at p = 1: every packet in the fewest legs
         delivered = np.ones(len(send), dtype=bool)
         legs = np.full(len(send), cfg.min_legs(), dtype=np.int64)
-    arrival = send + legs * cfg._one_way_q
+    travel = legs * cfg._one_way_q
+    arrival = send + travel
+    ticks = np.arange(first, first + len(sizes), dtype=np.int64)
+    tick_start = (ticks - 1) * float(cfg.tick_s)
 
     # exact FIFO at the server: admit in arrival order, equal arrivals in
     # (node, packet) order.  Distinct arrivals have one sorting permutation,
     # so the default (SIMD, unstable) argsort finds it; only a tie needs the
     # slower stable sort
     queued = np.flatnonzero(delivered)
-    key = arrival[queued]
-    order = np.argsort(key)
-    ordered = key[order]
-    if (ordered[1:] == ordered[:-1]).any():  # a tie; ordered is the same either way
-        order = np.argsort(key, kind="stable")
-    queued = queued[order]
-    tick_start = (t - 1) * float(cfg.tick_s)
-    waits = server.admit(round(tick_start * UNITS_PER_S), ordered, service[queued])
-    latency = np.zeros(len(send), dtype=np.int64)
-    latency[queued] = legs[queued] * cfg._one_way_q + waits
-    send_s = tick_start + send / UNITS_PER_S
-    ticks = np.full(len(send), t, dtype=np.int64)
-    return PacketColumns(float(cfg.tick_s), ticks, send_s, legs, delivered, latency)
+    ends = np.searchsorted(queued, np.cumsum(sizes)).tolist()
+    latency = np.zeros(len(send), dtype=np.int64)  # the waits, then the latencies
+    for start, end, origin_s in zip([0, *ends], ends, tick_start.tolist()):
+        q = queued[start:end]  # this tick's delivered packets
+        key = arrival[q]
+        order = np.argsort(key)
+        ordered = key[order]
+        if (ordered[1:] == ordered[:-1]).any():  # a tie; ordered is the same either way
+            order = np.argsort(key, kind="stable")
+        q = q[order]
+        latency[q] = server.admit(round(origin_s * UNITS_PER_S), ordered, service[q])
+    # in place, as every chunk-sized temporary costs fresh pages
+    latency += travel
+    latency *= delivered  # a lost packet's latency is 0
+    send_s = send / UNITS_PER_S
+    send_s += np.repeat(tick_start, sizes)
+    return PacketColumns(
+        float(cfg.tick_s), np.repeat(ticks, sizes), send_s, legs, delivered, latency
+    )
 
 
-def run_tick(
-    state: SimulationState, t: int, *, draws: _TickDraws | None = None
-) -> PacketColumns:
+def run_tick(state: SimulationState, t: int) -> PacketColumns:
     """Advance one tick; returns the packets sent in it, in (node, packet)
     order.
 
     Sends are jittered inside [tick_start, tick_end - guard], so every
     handshake finishes before the tick ends and server FIFO order across
-    ticks is exact.  draws, keyword-only, are tick t's draws as
-    run_simulation passes them on; without them the tick draws its own
-    from state.rng.
+    ticks is exact.  A one-tick chunk: run_simulation resolves the same
+    ticks chunk by chunk.
     """
     cfg = state.config
     if not 1 <= t <= cfg.n_ticks():
         raise InvalidParameterError(f"tick {t} outside 1..{cfg.n_ticks()}")
-    if draws is None:
-        draws = _draw_tick(cfg, state.rng, t, _lossy(cfg))
-    return _resolve_tick(cfg, state.server, draws)
+    draws = _join(cfg, t, [_draw_tick(cfg, state.rng, t, _lossy(cfg))])
+    return _resolve(cfg, state.server, draws)
 
 
 def run_simulation(
-    config: SimulationConfig, *, draws: list[_TickDraws] | None = None
+    config: SimulationConfig, *, draws: list[_ChunkDraws] | None = None
 ) -> SimulationResult:
-    """Run every tick.
+    """Run every tick, chunk by chunk.
 
-    draws, keyword-only, are compare_fading's unchecked hand-off of every
-    tick's draws, made once from its base config; without them the run
-    draws its own.
+    draws, keyword-only, are compare_fading's unchecked hand-off of the
+    run's chunks, drawn once from its base config, whose load it has
+    checked; with them the run builds no generator of its own.  Without
+    them the run draws its own, one chunk at a time.
     """
-    state = make_state(config)
-    per_tick = [None] * config.n_ticks() if draws is None else draws
-    ticks = [run_tick(state, t, draws=d) for t, d in enumerate(per_tick, 1)]
-    return SimulationResult(records=PacketColumns.concat(ticks))
+    if draws is None:
+        state = make_state(config)
+        server, draws = state.server, _draw_chunks(config, state.rng, _lossy(config))
+    else:
+        server = CentralServer()
+    parts = [_resolve(config, server, chunk) for chunk in draws]
+    return SimulationResult(records=PacketColumns.concat(parts))
 
 
 @dataclass(frozen=True)
@@ -482,9 +531,9 @@ def compare_fading(
     kind was delivered yet; reporting.mean_latency_so_far computes each
     column.
 
-    All kinds share one set of draws, made once per tick from base: send
-    and service times, plus the channel normals and leg uniforms when any
-    kind is lossy.  A kind is base with only fading and noise_n0 replaced,
+    All kinds share one set of draws, made once from base, chunk by chunk:
+    send and service times, plus the channel normals and leg uniforms when
+    any kind is lossy.  A kind is base with only fading and noise_n0 replaced,
     which no draw reads, so each kind resolves them with its own channel
     and server through run_simulation(..., draws=), and its column equals
     its own run_simulation's; the columns differ only through the channel,
@@ -511,7 +560,7 @@ def compare_fading(
     ]
     rng = make_state(base).rng  # refuses an overloaded run before drawing it
     lossy = any(_lossy(cfg) for cfg in configs)
-    draws = [_draw_tick(base, rng, t, lossy) for t in range(1, base.n_ticks() + 1)]
+    draws = list(_draw_chunks(base, rng, lossy))
     columns = [
         mean_latency_so_far(run_simulation(cfg, draws=draws).records, sample_times)
         for cfg in configs

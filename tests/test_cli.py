@@ -868,6 +868,17 @@ class TestQueue:
         assert captured.out == ""
         assert "instability" in captured.err
 
+    def test_load_past_the_erlang_bound_exits_2_at_once(self, capsys):
+        # used to loop once per server in the Erlang B recursion, ~2 minutes
+        t0 = time.perf_counter()
+        rc = cli.main(["queue", "--lam", "5e8", "--mu", "1", "--servers", "1000000000"])
+        assert time.perf_counter() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: Erlang C refused")
+        assert len(captured.err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("lam,mu", [("3", "inf"), ("inf", "3"), ("nan", "3"), ("3", "nan")])
     def test_non_finite_rate_exits_2(self, capsys, lam, mu):
         rc = cli.main(["queue", "--lam", lam, "--mu", mu])

@@ -148,6 +148,50 @@ def test_handshake_scalar_batch_agree():
         assert (one_delivered[0], one_legs[0]) == (delivered[k], legs[k])
 
 
+def qos2_reference(p: float, leg_u: list[float], retries: int) -> tuple[bool, int]:
+    """One packet's QoS 2 handshake on Python floats, leg by leg: a leg
+    takes ceil(log1p(-u) / log1p(-p)) trials, at least 1; p <= 0 or NaN
+    exhausts it, and a ratio past the int64 range caps at budget + 1."""
+    budget = retries + 1
+    legs = 0
+    for u in leg_u:
+        if not p > 0.0:
+            trials = budget + 1
+        elif p == 1.0:  # log1p(-1) is -inf, so every ratio is 0
+            trials = 1
+        else:
+            ratio = math.log1p(-u) / math.log1p(-p)
+            trials = budget + 1 if ratio >= 2**63 else max(1, min(math.ceil(ratio), budget + 1))
+        legs += min(trials, budget)
+        if trials > budget:
+            return False, legs
+    return True, legs
+
+
+edge_probs = st.sampled_from([0.0, -0.0, 1.0, 1e-300, 5e-324, math.nan, -0.5, 0.5])
+leg_uniforms = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))
+
+
+@given(
+    packets=st.lists(
+        st.tuples(st.one_of(edge_probs, probs), st.lists(leg_uniforms, min_size=4, max_size=4)),
+        min_size=1,
+        max_size=30,
+    ),
+    retries=st.integers(0, 8),
+)
+@settings(max_examples=300, deadline=None)
+def test_qos2_equals_the_per_packet_reference(packets, retries):
+    # bit for bit, whichever memory layout the uniforms come in
+    p = np.array([q for q, _ in packets])
+    leg_u = np.array([u for _, u in packets]).T
+    want = [qos2_reference(q, u, retries) for q, u in packets]
+    for layout in (leg_u, np.ascontiguousarray(leg_u)):
+        delivered, legs = handshake_legs(2, p, layout, retries)
+        assert delivered.dtype == bool and legs.dtype == np.int64
+        assert list(zip(delivered.tolist(), legs.tolist())) == want
+
+
 def test_retry_chain_absorption():
     # with retries unbounded in practice, every live channel delivers and a dead one never does
     delivered, _ = handshake(2, 0.2, 10**4, 400, "hs-abs")

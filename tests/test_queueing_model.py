@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from iiot_netsim.errors import InstabilityError, InvalidParameterError
+from iiot_netsim.errors import DomainError, InstabilityError, InvalidParameterError
 from iiot_netsim.queueing_model import (
+    MAX_ERLANG_LOAD,
     WARMUP_FRACTION,
     QueueParams,
     erlang_c_probability,
@@ -154,6 +155,26 @@ def test_erlang_c_stops_once_the_terms_underflow():
     assert erlang_c_probability(QueueParams(1.0, 2.0, 10**9)) == 0.0
     assert time.perf_counter() - t0 < 1.0
 
+
+
+@pytest.mark.parametrize("rho,servers", [(MAX_ERLANG_LOAD * (1 + 1e-15), 10**9), (5e8, 10**9)])
+def test_erlang_c_refuses_loads_past_the_bound_at_once(rho, servers):
+    # the Erlang B recursion would run ~rho steps: 2 minutes at 5e8
+    t0 = time.perf_counter()
+    for call in (erlang_c_probability, mean_wait_in_queue):
+        with pytest.raises(DomainError, match="Erlang C refused"):
+            call(QueueParams(rho, 1.0, servers))
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_erlang_c_at_the_load_bound_is_computed():
+    # rho = 1e6 with beta * sqrt(rho) spare servers, beta = 1: the Halfin-Whitt
+    # limit 1 / (1 + beta * Phi(beta) / phi(beta)) holds to well within 1%
+    c_prob = erlang_c_probability(QueueParams(float(MAX_ERLANG_LOAD), 1.0, 10**6 + 1000))
+    cdf, pdf = (1.0 + math.erf(1.0 / math.sqrt(2.0))) / 2.0, math.exp(-0.5) / math.sqrt(2 * math.pi)
+    assert c_prob == pytest.approx(1.0 / (1.0 + cdf / pdf), rel=0.01)
+    with pytest.raises(InstabilityError):  # instability is checked first
+        erlang_c_probability(QueueParams(1e9, 1.0, 10**8))
 
 # ---- simulation oracle ---------------------------------------------------
 

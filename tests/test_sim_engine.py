@@ -37,7 +37,7 @@ from iiot_netsim.sim_engine import (
     PacketColumns,
     SimulationConfig,
     _leg_success_prob,
-    _TickDraws,
+    _ChunkDraws,
     compare_fading,
     make_state,
     per_packet_error_probability,
@@ -886,6 +886,29 @@ class TestRecordColumns:
         assert len(res.records) == 6000
         assert retained / len(res.records) <= 64
 
+    @pytest.mark.parametrize("ticks", [150, 600])
+    def test_a_run_holds_one_chunks_draws(self, ticks):
+        # a run draws and resolves one chunk at a time: at its peak it holds
+        # its columns twice (the chunks' and their concatenation) and one
+        # chunk's draws and temporaries, ~1 MB whatever the duration; the
+        # whole run as one chunk peaks 6.6 MB over at 150 ticks, 26 MB at 600
+        doc = cli.load_config_doc(str(SHIPPED / "default_compare.json"))
+        base, plan, _ = cli.build_config({**doc, "duration_s": float(ticks)})
+        cfg = with_channel(base, plan.kinds[1])
+        assert sim_engine._lossy(cfg)
+        run_simulation(replace(cfg, duration_s=1.0))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = run_simulation(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(res.records) == 300 * ticks
+        column_bytes = sum(getattr(res.records, f).nbytes for f in sim_engine._COLUMNS)
+        assert peak <= 2 * column_bytes + 3 * 2**20
+
     def test_benchmark_statistics_read_the_columns(self):
         # perfbench reads records by iteration (model_stats) and truth test
         # (record_bytes); both must agree with the columns
@@ -993,7 +1016,8 @@ class TestServerOrderOnTiedArrivals:
         state = make_state(cfg)
         origin = round((t - 1) * cfg.tick_s * UNITS_PER_S)
         state.server.free_at = origin + backlog
-        got = run_tick(state, t, draws=_TickDraws(t, send, z, leg_u, service))
+        draws = _ChunkDraws(t, np.array([n]), send, z, leg_u, service)
+        got = sim_engine._resolve(cfg, state.server, draws)
 
         legs = got.attempts.tolist()
         arrival = [s + k * cfg._one_way_q for s, k in zip(send.tolist(), legs)]
@@ -1211,14 +1235,28 @@ class TestSharedDraws:
         lossy = threshold is not None and n_kinds > 1
         assert CountingSubstreams.visits == (5 if lossy else 3) * cfg.n_ticks()
 
+    @pytest.mark.parametrize("threshold", [None, 0.0])
+    def test_kinds_build_no_generator_of_their_own(self, monkeypatch, threshold):
+        # the kinds resolve base's draws: one key and one generator per call
+        built = []
+        substreams = sim_engine.SubstreamGenerator
+
+        def counting(key):
+            built.append(key)
+            return substreams(key)
+
+        monkeypatch.setattr(sim_engine, "SubstreamGenerator", counting)
+        cfg = make_config(rate_jitter=True, snr_threshold_db=threshold)
+        compare_fading(cfg, CHANNELS, [cfg.duration_s])
+        assert len(built) == 1
+
     LOSSY = dict(snr_threshold_db=0.0, rate_jitter=True, max_retries_per_leg=2)
 
     def test_any_channel_reads_lossy_draws_lossless_ones_lossless(self):
         cfg = make_config(**self.LOSSY)
         rng = make_state(cfg).rng
-        ticks = range(1, cfg.n_ticks() + 1)
-        lossy = [sim_engine._draw_tick(cfg, rng, t, lossy=True) for t in ticks]
-        lossless = [sim_engine._draw_tick(cfg, rng, t, lossy=False) for t in ticks]
+        lossy = list(sim_engine._draw_chunks(cfg, rng, lossy=True))
+        lossless = list(sim_engine._draw_chunks(cfg, rng, lossy=False))
         for spec in CHANNELS:
             kind = replace(with_channel(cfg, spec), noise_n0=3.0)
             want = run_simulation(kind).records
@@ -1248,6 +1286,77 @@ class TestSharedDraws:
         for got, want in zip(tracer.captured, alone):
             assert same_columns(got.records, want.records)
         assert run.model_stats(tracer.captured, runner.cfg) == run.model_stats(alone, runner.cfg)
+
+
+class TestChunkInvariance:
+    """However the chunk bound cuts a run, run_simulation and compare_fading
+    equal the per-tick run_tick loop: one tick per chunk (bound 1), uneven
+    chunks of several ticks (bound 7), or the whole run as one chunk."""
+
+    @staticmethod
+    def tick_loop(cfg):
+        state = make_state(cfg)
+        ticks = [run_tick(state, t) for t in range(1, cfg.n_ticks() + 1)]
+        return PacketColumns.concat(ticks), state.server.free_at
+
+    @staticmethod
+    def recording_servers(mp) -> list:
+        # every server the engine makes, so a run's free_at can be read after it
+        servers = []
+
+        class RecordingServer(CentralServer):
+            def __init__(self):
+                super().__init__()
+                servers.append(self)
+
+        mp.setattr(sim_engine, "CentralServer", RecordingServer)
+        return servers
+
+    @pytest.mark.parametrize("bound", [1, 7, 2**62])
+    @given(cfg=tick_configs(), kinds=kind_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_runs_equal_the_tick_loop(self, bound, cfg, kinds):
+        times = [cfg.duration_s * f for f in (0.3, 0.7, 1.0)]
+        want = [self.tick_loop(with_channel(cfg, k)) for k in kinds]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim_engine, "_CHUNK_PACKETS", bound)
+            servers = self.recording_servers(mp)
+            got = [run_simulation(with_channel(cfg, k)).records for k in kinds]
+            runs = [s.free_at for s in servers]
+            servers.clear()
+            compared = compare_fading(cfg, kinds, times)
+            shared = [s.free_at for s in servers[1:]]  # servers[0] is base's, never used
+        assert all(same_columns(records, ref) for records, (ref, _) in zip(got, want))
+        assert runs == shared == [free_at for _, free_at in want]
+        columns = [mean_latency_so_far(ref, times) for ref, _ in want]
+        assert np.array_equal(compared, np.array(columns, dtype=float).T, equal_nan=True)
+
+    @pytest.mark.parametrize("bound", [1, 40, 2**62])
+    def test_long_growing_run_equals_the_tick_loop(self, bound):
+        # 12 jittered ticks growing from 3 to 13 packets per node on a lossy
+        # channel; bound 40 cuts them into chunks of 2 to 4 ticks
+        cfg = make_config(
+            duration_s=12.0,
+            packets_per_node_per_tick=3,
+            rate_growth_per_tick=0.3,
+            rate_jitter=True,
+            fading=RayleighParams(sigma=1.0),
+            noise_n0=2.0,
+            snr_threshold_db=0.0,
+            max_retries_per_leg=2,
+        )
+        ref, ref_free_at = self.tick_loop(cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim_engine, "_CHUNK_PACKETS", bound)
+            chunks = list(sim_engine._draw_chunks(cfg, make_state(cfg).rng, lossy=True))
+            servers = self.recording_servers(mp)
+            records = run_simulation(cfg).records
+        ticks = [len(c.sizes) for c in chunks]
+        assert sum(ticks) == cfg.n_ticks()
+        assert [c.first for c in chunks] == np.cumsum([1, *ticks[:-1]]).tolist()
+        assert len(set(ticks)) > 1 if bound == 40 else len(set(ticks)) == 1
+        assert same_columns(records, ref)
+        assert [s.free_at for s in servers] == [ref_free_at]
 
 
 class TestSpecifiedTrends:
