@@ -18,7 +18,6 @@ import io
 import math
 import sys
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -55,13 +54,20 @@ class RttSummary:
 
 
 _LIMB_BITS = 21  # three limbs hold a latency below 2**63 units
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
 
 
-def _sum(q: np.ndarray) -> int:
-    """Exact sum of int64 q in [0, 2**63): its 21-bit limbs are summed apart
-    in int64, exact for fewer than 2**42 terms, more than memory holds."""
-    mask = (1 << _LIMB_BITS) - 1
-    return sum(int(((q >> s) & mask).sum()) << s for s in range(0, 63, _LIMB_BITS))
+def _limb_shifts(top: int) -> range:
+    """The shifts of the 21-bit limbs of values in [0, top]; a limb above
+    top's highest bit is 0 in every value, so it is left out."""
+    return range(0, max(top.bit_length(), 1), _LIMB_BITS)
+
+
+def _sum(q: np.ndarray, top: int) -> int:
+    """Exact sum of int64 q in [0, top], top < 2**63: its 21-bit limbs are
+    summed apart in int64, exact for fewer than 2**42 terms, more than
+    memory holds."""
+    return sum(int(((q >> s) & _LIMB_MASK).sum()) << s for s in _limb_shifts(top))
 
 
 def _ms(units: int, count: int = 1) -> float:
@@ -75,7 +81,8 @@ def latency_stats(q: np.ndarray) -> tuple[float | None, float | None, float | No
     Each is its exact value correctly rounded, so min <= avg <= max."""
     if not q.size:
         return None, None, None
-    return _ms(int(q.min())), _ms(_sum(q), q.size), _ms(int(q.max()))
+    hi = int(q.max())
+    return _ms(int(q.min())), _ms(_sum(q, hi), q.size), _ms(hi)
 
 
 def summarize_rtt(records) -> RttSummary:
@@ -85,18 +92,27 @@ def summarize_rtt(records) -> RttSummary:
     return RttSummary(min_ms=lo, max_ms=hi, avg_ms=avg, count=q.size)
 
 
-def mean_latency_so_far(records, times) -> list[float | None]:
+def mean_latency_so_far(records, times, order=None) -> list[float | None]:
     """Average latency in ms of the delivered packets sent at or before each
     time; None before the first delivery.  Integer sums ignore order, so
-    equal sends need no tie-break: a time counts all of them or none."""
-    sends = records.send_time_s[records.delivered]
-    order = np.argsort(sends)
-    lats = records.latency_q[records.delivered][order]
-    counts = np.searchsorted(sends[order], times, side="right").tolist()
-    # each prefix a time ends, as the running total of the pieces between them
-    ends = sorted(set(counts))
-    sums = dict(zip(ends, accumulate(_sum(lats[a:b]) for a, b in zip([0, *ends], ends))))
-    return [_ms(sums[k], k) if k else None for k in counts]
+    equal sends need no tie-break: a time counts all of them or none.
+
+    order, if given, is np.argsort(records.send_time_s), which runs with
+    the same sends can share."""
+    if order is None:
+        order = np.argsort(records.send_time_s)
+    order = order[records.delivered[order]]  # the delivered rows in send order
+    counts = np.searchsorted(records.send_time_s[order], times, side="right")
+    # prefix k sums the first k latencies in send order, exactly: _sum's
+    # limbs, each one cumsum after a leading 0, so a few passes serve every time
+    lats = np.zeros(len(order) + 1, dtype=np.int64)
+    np.take(records.latency_q, order, out=lats[1:], mode="clip")
+    shifts = _limb_shifts(int(lats.max()))
+    limbs = lats >> np.array(shifts)[:, None]
+    limbs &= _LIMB_MASK
+    prefix = limbs.cumsum(axis=1)[:, counts].T.tolist()
+    sums = (sum(p << s for p, s in zip(row, shifts)) for row in prefix)
+    return [_ms(total, k) if k else None for total, k in zip(sums, counts.tolist())]
 
 
 def _whole_ticks(span: float, tick_s: float) -> int:

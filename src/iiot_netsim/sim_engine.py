@@ -24,10 +24,10 @@ reporting._whole_ticks), so a report window holds the packets of its
 ticks and no others.
 
 A run draws, then resolves, one chunk of consecutive ticks at a time
-(at least _CHUNK_PACKETS packets, or the rest of the run), so it never
-holds more than one chunk's draws.  A run keys one Philox generator
-once; a domain's substream of tick t is the counter (0, domain, 0, t)
-under that key (rng.SubstreamGenerator).  The draw step takes each
+(at least _CHUNK_PACKETS packets, or the rest of the run, and under
+2**61 units of time), so it never holds more than one chunk's draws.  A
+run keys one Philox generator once; a domain's substream of tick t is
+the counter (0, domain, 0, t) under that key (rng.SubstreamGenerator).  The draw step takes each
 domain's draws of a tick from that one substream in one call, tick by
 tick: the nodes' rate jitters (node k's is uniform k), the send times,
 the service times, and on a lossy channel the channel normals (a pair
@@ -35,8 +35,12 @@ per packet) and the leg uniforms (handshake_rows per packet).  Node k's
 packets take positions [off_k, off_k + n_k) of every stream of its
 tick, in (node, packet) order, and a chunk lays its ticks end to end.
 The resolve step evaluates the channel and the handshake once on the
-whole chunk, then admits each tick's delivered packets to the server in
-one call, tick by tick, in arrival order.  Its records are columns
+whole chunk, then admits all of its delivered packets to the server in
+one exact max-plus pass: one sort puts them in tick-major arrival order,
+and their arrivals count from the chunk's first tick.  Lindley's
+recursion in max-plus form composes over ticks (Baccelli, Cohen, Olsder
+and Quadrat, Synchronization and Linearity, 1992), so that pass gives
+the waits the ticks' own passes would.  Its records are columns
 (PacketColumns: one array per field), written for the whole chunk at
 once, and a run concatenates its chunks column by column.  run_tick is
 the one-tick chunk; however the ticks are cut into chunks, the records
@@ -106,7 +110,7 @@ def per_packet_error_probability(snr_linear, threshold_db: float):
     above the threshold (PER 0) and is 0 at snr 0 (PER exactly 1).
     """
     snr = np.asarray(snr_linear, dtype=float)
-    if np.any(snr < 0) or np.any(np.isnan(snr)):
+    if not (snr >= 0).all():  # NaN fails the comparison too
         raise InvalidParameterError("snr_linear must be >= 0")
     with np.errstate(divide="ignore", over="ignore"):
         snr_db = 10.0 * np.log10(snr)
@@ -287,23 +291,33 @@ class PacketColumns:
 
 @dataclass
 class CentralServer:
-    """Single FIFO exponential server; free_at, in units, persists across ticks."""
+    """Single FIFO exponential server; free_at, in units, persists across calls."""
 
     free_at: int = 0
 
     def admit(self, origin: int, arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
-        """Queue packets given in arrival order, int64 unit offsets >= 0 from
+        """Queue packets in the given order, int64 unit offsets >= 0 from
         origin; returns their waits.  Lindley's recursion in exact max-plus
-        form, S = cumsum(s): D = S + running max of max(a - (S - s), backlog)."""
+        form, exact in any service order: with S = cumsum(s) and
+        X = a - (S - s), M is the running max of X and the backlog, and a
+        packet waits M - X.  A run admits each chunk of ticks in one call
+        (_resolve).
+
+        Reads its inputs only, and works in two buffers of their length."""
         backlog = max(self.free_at - origin, 0)
         # every departure is at most this sum; the margin covers its float rounding
-        if backlog + arrivals[-1:].sum(dtype=float) + services.sum(dtype=float) >= 2**63 - 2**43:
+        bound = backlog + float(arrivals.max(initial=0)) + services.sum(dtype=float)
+        if bound >= 2**63 - 2**43:
             raise InvalidConfigError("the server's backlog overflows int64 time")
-        done = np.cumsum(services)
-        done += np.maximum.accumulate(np.maximum(arrivals - (done - services), backlog))
-        if len(done):
-            self.free_at = origin + int(done[-1])
-        return done - services - arrivals
+        work = np.cumsum(services)  # S, then S - s, then M
+        total = int(work[-1]) if len(work) else 0
+        work -= services
+        wait = np.subtract(arrivals, work)  # X, then M - X
+        np.maximum.accumulate(wait, out=work)
+        np.maximum(work, backlog, out=work)
+        if len(work):
+            self.free_at = origin + total + int(work[-1])
+        return np.subtract(work, wait, out=wait)
 
 
 @dataclass
@@ -370,38 +384,6 @@ class _ChunkDraws(NamedTuple):
     service: np.ndarray  # int64 units
 
 
-def _draw_tick(cfg: SimulationConfig, rng: SubstreamGenerator, t: int, lossy: bool) -> tuple:
-    """Tick t's raw draws, packet-major: send uniforms, service times in s,
-    and when lossy the channel normals (packets x 2) and the leg uniforms
-    (packets x handshake_rows), each from its domain's substream
-    (domain, 0, t) in one call.
-
-    The fading kind is not read, so every config with cfg's traffic can
-    resolve these draws.
-    """
-    base = cfg.rate_at_tick(t)
-
-    total = base * cfg.node_count
-    if cfg.rate_jitter:
-        # node k's jitter is uniform k of the tick's jitter stream; rint
-        # rounds half to even, as round does
-        lo, hi = RATE_JITTER_SPAN
-        u = rng.at((DOMAIN_RATE_JITTER, 0, t)).random(cfg.node_count)
-        total = int(np.rint(float(base) * (lo + (hi - lo) * u)).astype(np.int64).sum())
-
-    # node k's packets take the same positions in every stream, and the
-    # layouts are packet-major, so a node's draws never depend on the
-    # nodes after it (see the module docstring)
-    send = rng.at((DOMAIN_PACKET, 0, t)).random(total)
-    service = rng.at((DOMAIN_SERVER, 0, t)).exponential(1.0 / cfg.server_mu(), total)
-    z = leg_u = None
-    if lossy:
-        leg_rows = handshake_rows(cfg.qos_level, cfg.max_retries_per_leg)
-        z = rng.at((DOMAIN_CHANNEL, 0, t)).standard_normal((total, 2))
-        leg_u = rng.at((DOMAIN_LEG, 0, t)).random((total, leg_rows))
-    return send, service, z, leg_u
-
-
 def _rows(parts: tuple[np.ndarray, ...]) -> np.ndarray:
     """Packet-major (packets x k) draws laid end to end as one C-contiguous
     k x packets array, each row contiguous as the handshake reads it.
@@ -415,8 +397,9 @@ def _rows(parts: tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 def _join(cfg: SimulationConfig, first: int, ticks: list[tuple]) -> _ChunkDraws:
-    """The chunk of consecutive ticks from first, given their _draw_tick
-    draws: one array per stream, times quantized to the unit."""
+    """The chunk of consecutive ticks from first, given each tick's raw
+    draws (see _draw_chunks): one array per stream, times quantized to the
+    unit."""
     send, service, z, leg_u = zip(*ticks)
     sizes = np.array([len(s) for s in send], dtype=np.int64)
     span = cfg.tick_s - cfg.handshake_guard_s()
@@ -431,25 +414,64 @@ def _join(cfg: SimulationConfig, first: int, ticks: list[tuple]) -> _ChunkDraws:
     return _ChunkDraws(first, sizes, send, z, leg_u, service.astype(np.int64))
 
 
-def _draw_chunks(cfg: SimulationConfig, rng: SubstreamGenerator, lossy: bool):
-    """Yield the run's draws chunk by chunk, drawing each chunk only when
-    the previous one has been taken."""
-    ticks, packets, n_ticks = [], 0, cfg.n_ticks()
-    for t in range(1, n_ticks + 1):
-        ticks.append(_draw_tick(cfg, rng, t, lossy))
-        packets += len(ticks[-1][0])
-        if packets >= _CHUNK_PACKETS or t == n_ticks:
-            chunk, ticks, packets = _join(cfg, t + 1 - len(ticks), ticks), [], 0
-            yield chunk
+def _draw_chunks(
+    cfg: SimulationConfig, rng: SubstreamGenerator, lossy: bool, ticks: range | None = None
+):
+    """Yield the draws of ticks, consecutive (the whole run by default),
+    chunk by chunk, drawing each chunk only when the previous one has been
+    taken.
+
+    Tick t's raw draws are packet-major: send uniforms, service times in s,
+    and when lossy the channel normals (packets x 2) and the leg uniforms
+    (packets x handshake_rows), each from its domain's substream
+    (domain, 0, t) in one call.  What no tick changes is worked out once.
+    The fading kind is not read, so every config with cfg's traffic can
+    resolve these draws.
+
+    A chunk also ends before it spans 2**61 units, so the sort keys and the
+    times from its first tick that _resolve forms stay below 2**62; a tick
+    always fits, as tick_s is below 2**31 s.
+    """
+    ticks = range(1, cfg.n_ticks() + 1) if ticks is None else ticks
+    max_ticks = max(1, 2**61 // math.ceil(cfg.tick_s * UNITS_PER_S))
+    nodes, mean_service = cfg.node_count, 1.0 / cfg.server_mu()
+    leg_rows = handshake_rows(cfg.qos_level, cfg.max_retries_per_leg)
+    lo, hi = RATE_JITTER_SPAN
+    width = hi - lo
+    at, rate_at_tick, jitter = rng.at, cfg.rate_at_tick, cfg.rate_jitter
+    chunk, packets = [], 0
+    for t in ticks:
+        base = rate_at_tick(t)
+        total = base * nodes
+        if jitter:
+            # node k's jitter is uniform k of the tick's jitter stream; rint
+            # rounds half to even, as round does
+            u = at((DOMAIN_RATE_JITTER, 0, t)).random(nodes)
+            total = int(np.rint(float(base) * (lo + width * u)).astype(np.int64).sum())
+
+        # node k's packets take the same positions in every stream, and the
+        # layouts are packet-major, so a node's draws never depend on the
+        # nodes after it (see the module docstring)
+        send = at((DOMAIN_PACKET, 0, t)).random(total)
+        service = at((DOMAIN_SERVER, 0, t)).exponential(mean_service, total)
+        z = leg_u = None
+        if lossy:
+            z = at((DOMAIN_CHANNEL, 0, t)).standard_normal((total, 2))
+            leg_u = at((DOMAIN_LEG, 0, t)).random((total, leg_rows))
+        chunk.append((send, service, z, leg_u))
+        packets += total
+        if packets >= _CHUNK_PACKETS or len(chunk) == max_ticks or t == ticks[-1]:
+            yield _join(cfg, t + 1 - len(chunk), chunk)
+            chunk, packets = [], 0
 
 
 def _resolve(cfg: SimulationConfig, server: CentralServer, draws: _ChunkDraws) -> PacketColumns:
     """A chunk's packets on cfg's channel, queued at server, from its draws.
 
-    The channel and the handshake run once on the whole chunk; the server
-    admits each tick's delivered packets in one call, tick by tick.  Reads
-    the draws and writes none of them, so several configs can resolve the
-    same draws in turn.
+    The channel and the handshake run once on the whole chunk, and the
+    server admits all of its delivered packets in one call, after one sort:
+    no step loops over the ticks.  Reads the draws and writes none of them,
+    so several configs can resolve the same draws in turn.
     """
     first, sizes, send, z, leg_u, service = draws
     if _lossy(cfg):
@@ -458,32 +480,65 @@ def _resolve(cfg: SimulationConfig, server: CentralServer, draws: _ChunkDraws) -
     else:  # what handshake_legs returns at p = 1: every packet in the fewest legs
         delivered = np.ones(len(send), dtype=bool)
         legs = np.full(len(send), cfg.min_legs(), dtype=np.int64)
-    travel = legs * cfg._one_way_q
-    arrival = send + travel
+    latency = legs * cfg._one_way_q  # the travel times, then the latencies
     ticks = np.arange(first, first + len(sizes), dtype=np.int64)
     tick_start = (ticks - 1) * float(cfg.tick_s)
 
-    # exact FIFO at the server: admit in arrival order, equal arrivals in
-    # (node, packet) order.  Distinct arrivals have one sorting permutation,
-    # so the default (SIMD, unstable) argsort finds it; only a tie needs the
-    # slower stable sort
-    queued = np.flatnonzero(delivered)
-    ends = np.searchsorted(queued, np.cumsum(sizes)).tolist()
-    latency = np.zeros(len(send), dtype=np.int64)  # the waits, then the latencies
-    for start, end, origin_s in zip([0, *ends], ends, tick_start.tolist()):
-        q = queued[start:end]  # this tick's delivered packets
-        key = arrival[q]
-        order = np.argsort(key)
-        ordered = key[order]
-        if (ordered[1:] == ordered[:-1]).any():  # a tie; ordered is the same either way
-            order = np.argsort(key, kind="stable")
-        q = q[order]
-        latency[q] = server.admit(round(origin_s * UNITS_PER_S), ordered, service[q])
-    # in place, as every chunk-sized temporary costs fresh pages
-    latency += travel
-    latency *= delivered  # a lost packet's latency is 0
-    send_s = send / UNITS_PER_S
-    send_s += np.repeat(tick_start, sizes)
+    # exact FIFO at the server: admit in tick-major arrival order, equal
+    # arrivals in (node, packet) order.  The sort key is tick position *
+    # stride + tick-local arrival, stride past every tick-local arrival, so
+    # the order is tick-major by construction: the chunk-relative arrivals
+    # alone need not be, when a late arrival meets the next tick's start.
+    # Every chunk-sized temporary costs fresh pages, so the pass reuses its
+    # buffers in place
+    stride = int(send.max(initial=0)) + int(latency.max(initial=0)) + 1
+    tick_key = np.arange(len(sizes), dtype=np.int64) * stride
+    if delivered.all():  # no gathers: every row queues
+        queued, counts = None, sizes
+        key = np.repeat(tick_key, counts)
+        key += send
+        key += latency
+    else:
+        queued = np.flatnonzero(delivered)
+        counts = np.diff(np.searchsorted(queued, np.cumsum(sizes)), prepend=0)
+        key = np.repeat(tick_key, counts)
+        key += send[queued]
+        key += latency[queued]
+    bits = max(len(key) - 1, 0).bit_length()
+    if len(sizes) * stride << bits <= 2**63:
+        # the key and the row index packed in one int64: a value sort, in
+        # place, is twice as fast as an argsort, and ties keep row order
+        order = np.arange(len(key))
+        key <<= bits
+        key |= order
+        key.sort()
+        np.bitwise_and(key, (1 << bits) - 1, out=order)
+        key >>= bits
+    else:  # no room for the row index (ticks of days, or many packets)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+    rows = order if queued is None else queued[order]
+
+    # each tick's start from the chunk's first, as admit's times count: the
+    # difference of two float starts need not be a float, so a fast two-sum
+    # (Dekker 1971) splits it exactly into two that are
+    origin = np.rint(tick_start * UNITS_PER_S)
+    offset = origin - origin[0]
+    low = (origin - offset) - origin[0]
+    offset = offset.astype(np.int64) + low.astype(np.int64)
+    queue = np.repeat(offset - tick_key, counts)
+    key += queue  # the arrivals, in admit order
+    np.take(service, rows, out=queue, mode="clip")  # then the services, then the travel
+    waits = server.admit(int(origin[0]), key, queue)
+    waits += np.take(latency, rows, out=queue, mode="clip")
+    latency[rows] = waits
+    if queued is not None:
+        latency *= delivered  # a lost packet's latency is 0
+    # send_s = tick_start + send / UNITS_PER_S, scaled by a power of two so
+    # the rounding is the same, with no temporary
+    send_s = np.repeat(tick_start * UNITS_PER_S, sizes)
+    send_s += send
+    send_s /= UNITS_PER_S
     return PacketColumns(
         float(cfg.tick_s), np.repeat(ticks, sizes), send_s, legs, delivered, latency
     )
@@ -501,7 +556,7 @@ def run_tick(state: SimulationState, t: int) -> PacketColumns:
     cfg = state.config
     if not 1 <= t <= cfg.n_ticks():
         raise InvalidParameterError(f"tick {t} outside 1..{cfg.n_ticks()}")
-    draws = _join(cfg, t, [_draw_tick(cfg, state.rng, t, _lossy(cfg))])
+    draws = next(_draw_chunks(cfg, state.rng, _lossy(cfg), range(t, t + 1)))
     return _resolve(cfg, state.server, draws)
 
 
@@ -572,8 +627,10 @@ def compare_fading(
     rng = make_state(base).rng  # refuses an overloaded run before drawing it
     lossy = any(_lossy(cfg) for cfg in configs)
     draws = list(_draw_chunks(base, rng, lossy))
-    columns = [
-        mean_latency_so_far(run_simulation(cfg, draws=draws).records, sample_times)
-        for cfg in configs
-    ]
+    columns, order = [], None
+    for cfg in configs:
+        records = run_simulation(cfg, draws=draws).records
+        if order is None:  # every kind sends base's packets: one sort serves all
+            order = np.argsort(records.send_time_s)
+        columns.append(mean_latency_so_far(records, sample_times, order))
     return np.array(columns, dtype=float).T  # an idle cell's None becomes NaN

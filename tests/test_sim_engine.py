@@ -71,6 +71,12 @@ def make_hop(proc: float = 0.5e-3, service: float = 1000.0) -> HopConfig:
     )
 
 
+# no one-way delay: no distance, and hop weight 0 zeroes transmission and queueing
+ZERO_DELAY_HOP = replace(
+    make_hop(proc=0.0), distance=0.0, hop_weight=0.0, service_rate=2.0**31
+)
+
+
 def make_config(**overrides) -> SimulationConfig:
     defaults = dict(
         node_count=3,
@@ -144,6 +150,14 @@ class TestPerPacketErrorProbability:
     def test_negative_snr_rejected(self):
         with pytest.raises(InvalidParameterError):
             per_packet_error_probability(-0.1, 0.0)
+
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, -math.inf])
+    def test_negative_or_nan_anywhere_rejected(self, bad):
+        with pytest.raises(InvalidParameterError):
+            per_packet_error_probability(np.array([1.0, bad, 2.0]), 0.0)
+
+    def test_negative_zero_and_inf_accepted(self):
+        assert per_packet_error_probability(np.array([-0.0, math.inf]), 0.0).tolist() == [1.0, 0.0]
 
     def test_vectorized(self):
         out = per_packet_error_probability(np.array([1.0, 10.0]), 0.0)
@@ -1433,6 +1447,11 @@ class TestChunkInvariance:
     @given(cfg=tick_configs(), kinds=kind_sets())
     @settings(max_examples=60, deadline=None)
     def test_runs_equal_the_tick_loop(self, bound, cfg, kinds):
+        self.check_runs(bound, cfg, kinds)
+
+    def check_runs(self, bound, cfg, kinds):
+        """run_simulation and compare_fading of cfg's kinds, chunked by bound,
+        equal the tick loop: every column, every server's free_at."""
         times = [cfg.duration_s * f for f in (0.3, 0.7, 1.0)]
         want = [self.tick_loop(with_channel(cfg, k)) for k in kinds]
         with pytest.MonkeyPatch.context() as mp:
@@ -1448,6 +1467,138 @@ class TestChunkInvariance:
         columns = [mean_latency_so_far(ref, times) for ref, _ in want]
         assert np.array_equal(compared, np.array(columns, dtype=float).T, equal_nan=True)
 
+    @pytest.mark.parametrize("bound", [1, 7, 2**62])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_zero_delay_ties_across_ticks_equal_the_tick_loop(self, bound, seed):
+        # a tick of 4 units and no one-way delay: a packet sent at the end of
+        # tick t arrives in the unit tick t + 1 starts in, so arrivals tie
+        # across the boundary, and services of about 2 units make the order
+        # show in the waits; the tick-major order serves tick t's first
+        cfg = make_config(
+            node_count=1, packets_per_node_per_tick=1, tick_s=2.0**-30,
+            duration_s=300 * 2.0**-30, seed=seed, base_hop=ZERO_DELAY_HOP,
+        )
+        assert cfg._one_way_q == 0 and cfg.tick_s * UNITS_PER_S == 4
+        self.check_runs(bound, cfg, CHANNELS[:1])
+        records = self.tick_loop(cfg)[0]
+        arrivals = np.rint(records.send_time_s * UNITS_PER_S)  # exact at these sizes
+        assert len(np.unique(arrivals)) < len(arrivals)  # one packet a tick: a tie across ticks
+
+    @pytest.mark.parametrize("bound", [1, 7, 2**14, 2**62])
+    def test_many_small_ticks_equal_the_tick_loop(self, bound):
+        # 2,000 ticks of 10 ms with 15 packets each, the shape of a long run
+        # at 1500 packets/s: the default bound puts over a thousand ticks in
+        # one chunk
+        cfg = make_config(
+            node_count=15, packets_per_node_per_tick=1, tick_s=0.01, duration_s=20.0,
+            max_retries_per_leg=0, base_hop=make_hop(service=5000.0),
+        )
+        assert cfg.n_ticks() == 2000
+        self.check_runs(bound, cfg, CHANNELS[:1])
+
+    @pytest.mark.parametrize("backlog", [0, 2**27])
+    def test_chunk_near_the_last_tick_equals_its_ticks(self, backlog):
+        # ticks 2**32 - 4 to 2**32 - 1 of 10 ms: float starts drift so far
+        # that tick gaps are 42949664 or 42949696 units, not 42949672.96, and
+        # with no one-way delay a late send of tick t arrives with or after
+        # the start of tick t + 1; tick t's packets are still served first
+        cfg = make_config(
+            node_count=1, packets_per_node_per_tick=5, tick_s=0.01,
+            duration_s=42949672.95, base_hop=ZERO_DELAY_HOP,
+        )
+        first = 2**32 - 4
+        assert cfg.n_ticks() == 2**32 - 1
+        starts = [round((t - 1) * cfg.tick_s * UNITS_PER_S) for t in range(first, first + 5)]
+        gaps = [b - a for a, b in zip(starts, starts[1:])]
+        assert min(gaps) < 42949673 < max(gaps)  # the latest send a tick can draw
+        send = []
+        for gap in gaps:  # past, at and before the next tick's start, then early
+            send += [42949673, gap, gap - 1, 0, 3]
+        service = np.random.default_rng(7).integers(0, 2**26, len(send))
+        draws = _ChunkDraws(first, np.full(4, 5), np.array(send), None, None, service)
+        self.check_chunk(cfg, draws, starts[0] + backlog)
+
+    @pytest.mark.parametrize("packets", [3, 1400], ids=["packed", "argsort"])
+    def test_tick_starts_whose_difference_is_no_float(self, packets):
+        # tick 2 starts 2**52 + 1 units in and tick 4 at 3 * 2**52 + 4, so
+        # their difference, 2**53 + 3, is no float; with 3 x 1400 packets on
+        # ticks of 2**52 units the sort key leaves no room for the row index
+        tick_s = 2.0**20 + 2.0**-32
+        cfg = make_config(
+            node_count=1, packets_per_node_per_tick=packets, tick_s=tick_s,
+            duration_s=5 * tick_s, report_window_s=tick_s, base_hop=ZERO_DELAY_HOP,
+        )
+        starts = [round((t - 1) * tick_s * UNITS_PER_S) for t in (2, 4)]
+        assert starts == [2**52 + 1, 3 * 2**52 + 4]
+        gen = np.random.default_rng(packets)
+        send = gen.integers(0, 2**52, 3 * packets)
+        # about a tick of work a tick: a backlog, so every arrival shows in the waits
+        service = gen.integers(0, 2**53 // packets, 3 * packets)
+        draws = _ChunkDraws(2, np.full(3, packets), send, None, None, service)
+        self.check_chunk(cfg, draws, starts[0])
+
+    @staticmethod
+    def check_chunk(cfg, draws, free_at):
+        """A hand-built lossless chunk, resolved in one pass, equals its ticks
+        resolved in turn (run_tick's one-tick chunks) and the sequential
+        recursion on Python ints, each tick in stable arrival order."""
+        one_pass, by_tick = CentralServer(free_at), CentralServer(free_at)
+        got = sim_engine._resolve(cfg, one_pass, draws)
+        ends = np.cumsum(draws.sizes).tolist()
+        ticks = [
+            sim_engine._resolve(cfg, by_tick, _ChunkDraws(
+                draws.first + i, draws.sizes[i:i + 1], draws.send[a:b], None, None,
+                draws.service[a:b],
+            ))
+            for i, (a, b) in enumerate(zip([0, *ends], ends))
+        ]
+        assert same_columns(got, PacketColumns.concat(ticks))
+        assert one_pass.free_at == by_tick.free_at
+
+        travel = cfg.min_legs() * cfg._one_way_q
+        want = []
+        for i, (a, b) in enumerate(zip([0, *ends], ends)):
+            origin = round((draws.first + i - 1) * cfg.tick_s * UNITS_PER_S)
+            arrival = (draws.send[a:b] + travel).tolist()
+            queue = sorted(range(b - a), key=lambda j: (arrival[j], j))
+            waits, free_at = lindley_waits(
+                free_at, [origin + arrival[j] for j in queue], draws.service[a:b][queue].tolist()
+            )
+            tick = [0] * (b - a)
+            for j, wait in zip(queue, waits):
+                tick[j] = travel + wait
+            want += tick
+        assert got.latency_q.tolist() == want
+        assert one_pass.free_at == free_at
+
+    def test_one_admit_per_chunk(self):
+        # the server takes each chunk in one call: a run's chunks, and every
+        # kind's chunks in compare_fading; base's server never admits
+        cfg = make_config(
+            duration_s=12.0, packets_per_node_per_tick=3, rate_growth_per_tick=0.3,
+            rate_jitter=True, fading=RayleighParams(sigma=1.0), snr_threshold_db=0.0,
+            max_retries_per_leg=2,
+        )
+        calls = []
+        admit = CentralServer.admit
+
+        def counting(server, *args):
+            calls.append(server)  # held, so no two servers share an id
+            return admit(server, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim_engine, "_CHUNK_PACKETS", 40)
+            mp.setattr(CentralServer, "admit", counting)
+            chunks = len(list(sim_engine._draw_chunks(cfg, make_state(cfg).rng, lossy=True)))
+            run_simulation(cfg)
+            runs = len(calls)
+            calls.clear()
+            compare_fading(cfg, CHANNELS, [cfg.duration_s])
+        assert 1 < chunks < cfg.n_ticks()
+        assert runs == chunks
+        ids = [id(server) for server in calls]
+        assert [ids.count(i) for i in dict.fromkeys(ids)] == [chunks] * len(CHANNELS)
+
     def test_lossy_draws_are_c_contiguous(self):
         # the channel and the handshake read z and leg_u row by row, so each
         # row must be contiguous: a one-tick chunk, chunks of several ticks,
@@ -1455,8 +1606,7 @@ class TestChunkInvariance:
         cfg = make_config(
             fading=RayleighParams(sigma=1.0), snr_threshold_db=0.0, max_retries_per_leg=2
         )
-        tick_1 = sim_engine._draw_tick(cfg, make_state(cfg).rng, 1, True)
-        one_tick = sim_engine._join(cfg, 1, [tick_1])
+        one_tick = next(sim_engine._draw_chunks(cfg, make_state(cfg).rng, True, range(1, 2)))
         shared = []
 
         def recording(config, *, draws=None):
