@@ -51,6 +51,7 @@ from .reporting import (
     mean_latency_so_far,
     rtt_summary_to_csv,
     summarize_rtt,
+    summarize_windows,
     windowed_series,
 )
 from .rng import RngStream
@@ -98,6 +99,7 @@ __all__ = [
     "mean_latency_so_far",
     "rtt_summary_to_csv",
     "summarize_rtt",
+    "summarize_windows",
     "windowed_series",
     "RngStream",
     "HopConfig",

@@ -4,7 +4,11 @@ Subcommands map one-to-one onto the package's reproduction recipes:
 simulate, compare-fading, validate-channel, qos-reliability, rtt, queue.
 Every file-writing command drops a manifest.json next to its outputs;
 the manifest's config snapshot plus seed reproduces the CSVs byte for
-byte.  A command exits 0 on success; a failure prints a single
+byte.  Configs, hops files, outputs and stdout are UTF-8 whatever the
+locale.  Each output is written to a temporary file beside it and
+renamed over it, so the path holds the old file or the whole new one,
+and a failed write or rename leaves no temporary file behind.  A
+command exits 0 on success; a failure prints a single
 "error: ..." line to stderr and exits with the code its error type
 carries (errors.NetsimError.exit_code; 2 for an OSError or a
 MemoryError, such as numpy's refusal of an oversized --samples).
@@ -20,6 +24,7 @@ simulate and compare-fading runs included, start and run without it.
 from __future__ import annotations
 
 import argparse
+import codecs
 import dataclasses
 import functools
 import json
@@ -51,7 +56,7 @@ from .reporting import (
     fading_comparison_table,
     intervals_to_csv,
     rtt_summary_to_csv,
-    summarize_rtt,
+    summarize_windows,
     windowed_series,
 )
 from .rng import RngStream
@@ -197,11 +202,20 @@ def parse_comparison(obj: dict) -> ComparePlan:
     return ComparePlan(kinds=kinds, sample_times_s=times)
 
 
-def load_config_doc(path: str) -> dict:
+def _read_utf8(path: str, what: str) -> str:
+    """The file's text, decoded as UTF-8 whatever the locale."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as e:
-        raise InvalidConfigError(f"cannot read config {path}: {e.strerror or e}") from e
+        raise InvalidConfigError(f"cannot read {what} {path}: {e.strerror or e}") from e
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise InvalidConfigError(f"{what} {path} is not UTF-8: {e}") from None
+
+
+def load_config_doc(path: str) -> dict:
+    text = _read_utf8(path, "config")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -248,9 +262,25 @@ def resolve_seed(cli_seed: int | None, default: int | None = None) -> int | None
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    """Write text to path as UTF-8 through path + ".tmp" and one rename,
+    so the path holds the old file or the whole new one; a failure of
+    the write or the rename removes the temporary file."""
+    tmp = f"{os.fspath(path)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        try:
+            view = memoryview(text.encode("utf-8"))
+            while view:  # os.write may write fewer bytes than asked
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def write_manifest(
@@ -272,7 +302,10 @@ def write_manifest(
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # one stat: on an existing directory, mkdir(exist_ok=True) raises
+    # FileExistsError and catches it
+    if not out.is_dir():
+        out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -289,7 +322,7 @@ def cmd_simulate(args) -> int:
         result.records, cfg.report_window_s, cfg.base_hop.packet_length, span_s=cfg.duration_s
     )
     _write_atomic(out / "intervals.csv", intervals_to_csv(intervals))
-    summary = summarize_rtt(result.records)
+    summary = summarize_windows(intervals)  # the span holds every tick of the run
     _write_atomic(out / "rtt_summary.csv", rtt_summary_to_csv(summary))
     write_manifest(
         out,
@@ -452,10 +485,7 @@ def cmd_qos_reliability(args) -> int:
 
 
 def _parse_hops_csv(path: str) -> list[HopConfig]:
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as e:
-        raise InvalidConfigError(f"cannot read hops file {path}: {e.strerror or e}") from e
+    lines = _read_utf8(path, "hops file").splitlines()
     if not lines or lines[0] != HOPS_CSV_HEADER:
         raise InvalidConfigError(f"hops file must start with header {HOPS_CSV_HEADER!r}")
     hops = []
@@ -570,8 +600,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _utf8_stdout() -> None:
+    """Print UTF-8 whatever the locale: a config's labels reach stdout."""
+    out = sys.stdout
+    encoding = getattr(out, "encoding", None)  # None on a StringIO
+    if encoding and codecs.lookup(encoding).name != "utf-8" and hasattr(out, "reconfigure"):
+        out.reconfigure(encoding="utf-8")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _utf8_stdout()
     try:
         return args.func(args)
     except (NetsimError, OSError, MemoryError) as e:

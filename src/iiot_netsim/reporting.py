@@ -9,8 +9,15 @@ fading-comparison table, each summary with a CSV mirror.  Latencies are
 reported in milliseconds.  Every reduction is exact on the integer
 latencies: sums are Python ints, and each min, mean and max is one
 correctly rounded division (_ms), so min <= avg <= max, and two
-summaries of the same packets agree.  This is the only module that
-summarizes records; the simulator returns them.
+summaries of the same packets agree.
+
+One reduction serves both summaries: windowed_series reduces every
+window in a fixed number of array passes over the packets (no Python
+loop per window) and carries each window's exact latency sum, so the
+run summary is the exact fold of the windows (summarize_windows), with
+no second pass; summarize_rtt is the one-segment case of the same
+reduction.  This is the only module that summarizes records; the
+simulator returns them.
 """
 from __future__ import annotations
 
@@ -32,7 +39,11 @@ RTT_SUMMARY_HEADER = "min_ms,max_ms,avg_ms,count"
 
 @dataclass(frozen=True)
 class IntervalReport:
-    """Aggregates over one reporting window; latency fields None when idle."""
+    """Aggregates over one reporting window; latency fields None when idle.
+
+    latency_sum_q is the exact sum of the window's delivered latencies in
+    units of 2**-32 s (0 when idle), so the run summary folds from the
+    windows (summarize_windows); it is not a column of the CSV."""
 
     window_start_s: float
     window_len_s: float
@@ -43,6 +54,7 @@ class IntervalReport:
     avg_latency_ms: float | None
     min_latency_ms: float | None
     max_latency_ms: float | None
+    latency_sum_q: int
 
 
 @dataclass(frozen=True)
@@ -53,21 +65,22 @@ class RttSummary:
     count: int
 
 
-_LIMB_BITS = 21  # three limbs hold a latency below 2**63 units
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
-
-
-def _limb_shifts(top: int) -> range:
-    """The shifts of the 21-bit limbs of values in [0, top]; a limb above
-    top's highest bit is 0 in every value, so it is left out."""
-    return range(0, max(top.bit_length(), 1), _LIMB_BITS)
-
-
-def _sum(q: np.ndarray, top: int) -> int:
-    """Exact sum of int64 q in [0, top], top < 2**63: its 21-bit limbs are
-    summed apart in int64, exact for fewer than 2**42 terms, more than
-    memory holds."""
-    return sum(int(((q >> s) & _LIMB_MASK).sum()) << s for s in _limb_shifts(top))
+def _exact_sums(q: np.ndarray, top: int, count: int, reduce) -> list[int]:
+    """reduce(limb).tolist() over the limbs of int64 q in [0, top], put
+    back together as Python ints: the exact sums that reduce takes when
+    it adds at most count values per sum.  A limb is w bits wide with
+    count * 2**w <= 2**63, so no sum of limbs wraps int64; a limb above
+    top's highest bit is 0 in every value, so it is left out, and when
+    top fits one limb q is summed as it is."""
+    width = 63 - max(count, 1).bit_length()
+    if top.bit_length() <= width:
+        return reduce(q).tolist()
+    mask = (1 << width) - 1
+    sums = None
+    for s in range(0, top.bit_length(), width):
+        part = reduce((q >> s) & mask).tolist()
+        sums = part if sums is None else [t + (p << s) for t, p in zip(sums, part)]
+    return sums
 
 
 def _ms(units: int, count: int = 1) -> float:
@@ -76,20 +89,67 @@ def _ms(units: int, count: int = 1) -> float:
     return units * 1000 / (count << 32)
 
 
-def latency_stats(q: np.ndarray) -> tuple[float | None, float | None, float | None]:
-    """(min, avg, max) in ms of int64 latencies in units; all None when empty.
-    Each is its exact value correctly rounded, so min <= avg <= max."""
-    if not q.size:
-        return None, None, None
-    hi = int(q.max())
-    return _ms(int(q.min())), _ms(_sum(q, hi), q.size), _ms(hi)
+def _segments(records, edges: np.ndarray) -> tuple[list, list, list, list]:
+    """(delivered, exact latency sum in units, min ms, max ms) of the
+    records in each segment edges[i]:edges[i+1], edges ascending; min and
+    max are None where nothing was delivered.  A fixed number of array
+    passes serves every segment."""
+    a, b = int(edges[0]), int(edges[-1])
+    ok = records.delivered[a:b]
+    if ok.all():  # nothing to gather
+        q, ok_edges = records.latency_q[a:b], edges - a
+    else:
+        rows = np.flatnonzero(ok)
+        q, ok_edges = records.latency_q[a:b][rows], np.searchsorted(rows, edges - a)
+    counts = np.diff(ok_edges)
+    m = len(counts)
+    sums, lows, highs = [0] * m, [None] * m, [None] * m
+    served = np.flatnonzero(counts)
+    if served.size:
+        # reduceat gives an empty segment its start element, so only served
+        # segments reach it; each runs to the next served start, past the
+        # empty ones between, and the last to the end of q
+        starts = ok_edges[served]
+        hi = np.maximum.reduceat(q, starts)
+        lo = np.minimum.reduceat(q, starts).tolist()
+        total = _exact_sums(
+            q, int(hi.max()), int(counts.max()), lambda limb: np.add.reduceat(limb, starts)
+        )
+        for i, t, x, y in zip(served.tolist(), total, lo, hi.tolist()):
+            sums[i], lows[i], highs[i] = t, _ms(x), _ms(y)
+    return counts.tolist(), sums, lows, highs
+
+
+def _summary(counts, sums, lows, highs) -> RttSummary:
+    """The summary of segments' (delivered, sum, min, max): counts and
+    exact sums add, and rounding keeps order, so the least rounded
+    minimum is the rounded least latency, and likewise the maximum."""
+    count = sum(counts)
+    if not count:
+        return RttSummary(min_ms=None, max_ms=None, avg_ms=None, count=0)
+    return RttSummary(
+        min_ms=min(x for x in lows if x is not None),
+        max_ms=max(x for x in highs if x is not None),
+        avg_ms=_ms(sum(sums), count),
+        count=count,
+    )
 
 
 def summarize_rtt(records) -> RttSummary:
-    """Min/max/avg latency over delivered packets; empty input stays empty."""
-    q = records.latency_q[records.delivered]
-    lo, avg, hi = latency_stats(q)
-    return RttSummary(min_ms=lo, max_ms=hi, avg_ms=avg, count=q.size)
+    """Min/max/avg latency over delivered packets; empty input stays empty.
+    The one-segment case of windowed_series' reduction."""
+    return _summary(*_segments(records, np.array([0, len(records)])))
+
+
+def summarize_windows(windows: list[IntervalReport]) -> RttSummary:
+    """The run summary folded from windowed_series' windows, with no pass
+    over the packets: equal to summarize_rtt of the packets they hold."""
+    return _summary(
+        [w.delivered for w in windows],
+        [w.latency_sum_q for w in windows],
+        [w.min_latency_ms for w in windows],
+        [w.max_latency_ms for w in windows],
+    )
 
 
 def mean_latency_so_far(records, times, order=None) -> list[float | None]:
@@ -103,15 +163,11 @@ def mean_latency_so_far(records, times, order=None) -> list[float | None]:
         order = np.argsort(records.send_time_s)
     order = order[records.delivered[order]]  # the delivered rows in send order
     counts = np.searchsorted(records.send_time_s[order], times, side="right")
-    # prefix k sums the first k latencies in send order, exactly: _sum's
-    # limbs, each one cumsum after a leading 0, so a few passes serve every time
+    # prefix k sums the first k latencies in send order, exactly: each
+    # limb's cumsum after a leading 0, so a few passes serve every time
     lats = np.zeros(len(order) + 1, dtype=np.int64)
     np.take(records.latency_q, order, out=lats[1:], mode="clip")
-    shifts = _limb_shifts(int(lats.max()))
-    limbs = lats >> np.array(shifts)[:, None]
-    limbs &= _LIMB_MASK
-    prefix = limbs.cumsum(axis=1)[:, counts].T.tolist()
-    sums = (sum(p << s for p, s in zip(row, shifts)) for row in prefix)
+    sums = _exact_sums(lats, int(lats.max()), lats.size, lambda limb: limb.cumsum()[counts])
     return [_ms(total, k) if k else None for total, k in zip(sums, counts.tolist())]
 
 
@@ -146,22 +202,22 @@ def windowed_series(
     if not n:
         raise InvalidParameterError(f"span_s must be a whole number of ticks, got {span_s}")
     ends = [*range(0, n, k), n]  # the last tick of each window, after a 0
-    edges = np.searchsorted(records.tick, ends, side="right").tolist()
-
-    out = []
-    for i, (a, b) in enumerate(zip(edges, edges[1:])):
-        ticks = ends[i + 1] - ends[i]
-        length = window if ticks == k else ticks * records.tick_s
-        window_q = records.latency_q[a:b][records.delivered[a:b]]
-        lo, avg, hi = latency_stats(window_q)
-        n_ok = window_q.size
-        out.append(IntervalReport(
+    edges = np.searchsorted(records.tick, ends, side="right")
+    counts, sums, lows, highs = _segments(records, edges)
+    last = n - ends[-2]  # the last window's ticks
+    lengths = [window] * (len(counts) - 1) + [window if last == k else last * records.tick_s]
+    return [
+        IntervalReport(
             window_start_s=i * window, window_len_s=length,
-            sent=b - a, delivered=n_ok, lost=b - a - n_ok,
+            sent=sent, delivered=n_ok, lost=sent - n_ok,
             throughput_bps=n_ok * bits_per_packet / length,
-            avg_latency_ms=avg, min_latency_ms=lo, max_latency_ms=hi,
-        ))
-    return out
+            avg_latency_ms=_ms(total, n_ok) if n_ok else None,
+            min_latency_ms=lo, max_latency_ms=hi, latency_sum_q=total,
+        )
+        for i, (sent, n_ok, total, lo, hi, length) in enumerate(
+            zip(np.diff(edges).tolist(), counts, sums, lows, highs, lengths)
+        )
+    ]
 
 
 def _cell(value) -> str:

@@ -1,8 +1,12 @@
 """End-to-end command-line behavior: files, exit codes, reproducibility."""
 import argparse
 import csv
+import errno
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
 from pathlib import Path
@@ -10,8 +14,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from iiot_netsim import cli, errors
+from iiot_netsim import cli, errors, reporting
 from iiot_netsim.queueing_model import QueueParams, erlang_c_probability, mean_wait_in_queue
+from iiot_netsim.reporting import rtt_summary_to_csv, summarize_rtt
+from iiot_netsim.sim_engine import run_simulation
 
 
 def shipped(name: str) -> Path:
@@ -912,3 +918,131 @@ class TestParserSurface:
         with pytest.raises(SystemExit) as e:
             cli.main(["--version"])
         assert e.value.code == 0
+
+
+def _rayleigh(doc):
+    doc.update(fading="rayleigh", fading_params={"sigma": 1.0}, noise_n0=2.540456)
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize(
+        "config,edit",
+        [("default_simulate.json", None), ("default_compare.json", _rayleigh)],
+        ids=["lossless", "lossy"],
+    )
+    def test_summary_folds_from_the_windows(self, tmp_path, monkeypatch, config, edit):
+        # rtt_summary.csv is the exact fold of the windows: no second pass
+        # over the records, and the bytes summarize_rtt of them gives
+        calls = []
+
+        def counting(records):
+            calls.append(len(records))
+            return summarize_rtt(records)
+
+        monkeypatch.setattr(reporting, "summarize_rtt", counting)
+        monkeypatch.setattr(cli, "summarize_rtt", counting, raising=False)
+        doc = load_doc(config)
+        if edit:
+            edit(doc)
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 0
+        assert calls == []
+        records = run_simulation(cli.build_config(doc)[0]).records
+        assert edit is None or not records.delivered.all()
+        want = rtt_summary_to_csv(summarize_rtt(records))
+        assert (out / "rtt_summary.csv").read_bytes() == want.encode()
+
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "intervals.csv").mkdir(parents=True)
+        cfg = str(shipped("default_simulate.json"))
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert [p.name for p in out.iterdir()] == ["intervals.csv"]
+
+    def test_failed_write_leaves_the_old_file_and_no_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"old\n")
+
+        def disk_full(fd, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with monkeypatch.context() as m:
+            m.setattr(cli.os, "write", disk_full)
+            with pytest.raises(OSError, match="No space left"):
+                cli._write_atomic(path, "new\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
+        assert path.read_bytes() == b"old\n"
+
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch):
+        # os.write may take fewer bytes than it is given
+        real_write = os.write
+        text = "time_s,\u03a9-ideal_ms\n" * 50
+        with monkeypatch.context() as m:
+            m.setattr(cli.os, "write", lambda fd, data: real_write(fd, data[:7]))
+            cli._write_atomic(tmp_path / "f.csv", text)
+        assert (tmp_path / "f.csv").read_bytes() == text.encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
+
+    def test_out_dir_is_made_only_when_missing(self, tmp_path, monkeypatch, capsys):
+        made = []
+        real_mkdir = Path.mkdir
+
+        def counting(self, *args, **kwargs):
+            made.append(self.name)
+            return real_mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counting)
+        cfg = str(shipped("default_simulate.json"))
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert made == ["o"]
+        # a path that exists as a file is not a directory: exit 2
+        (tmp_path / "f").write_bytes(b"")
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "f")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "rtt"])
+    def test_input_not_utf8_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "in"
+        path.write_bytes(b'{"seed": "\xff"}\n')
+        out = tmp_path / "o"
+        argv = {"simulate": ["simulate", "--config", str(path), "--out", str(out)],
+                "rtt": ["rtt", "--hops", str(path)]}[command]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not UTF-8" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_outputs_are_utf8_whatever_the_locale(self, tmp_path):
+        # a label outside ASCII, read and printed and written under the C
+        # locale with no coercion, gives the bytes of a UTF-8 run
+        doc = load_doc("default_compare.json")
+        doc["comparison"]["kinds"][0]["label"] = "\u03a9-ideal"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        base = {k: v for k, v in os.environ.items()
+                if k != cli.SEED_ENV_VAR and not k.startswith(("LC_", "LANG", "PYTHON"))}
+
+        def run(name, **env):
+            proc = subprocess.run(
+                [sys.executable, "-m", "iiot_netsim.cli", "compare-fading",
+                 "--config", str(cfg), "--out", str(tmp_path / name)],
+                env={**base, "PYTHONPATH": src, **env}, capture_output=True, timeout=120,
+            )
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            manifest = json.loads((tmp_path / name / "manifest.json").read_bytes())
+            manifest.pop("wall_clock_s")
+            return proc.stdout, (tmp_path / name / "fading_table.csv").read_bytes(), manifest
+
+        c_locale = run("c", LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        utf8 = run("utf8", PYTHONUTF8="1")
+        assert c_locale == utf8
+        assert "\u03a9-ideal_ms".encode("utf-8") in utf8[0] and utf8[1].startswith(
+            "time_s,\u03a9-ideal_ms,".encode("utf-8")
+        )

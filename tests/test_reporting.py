@@ -1,5 +1,4 @@
 """Aggregation artifacts: RTT summary, interval series, comparison table."""
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -16,10 +15,10 @@ from iiot_netsim.reporting import (
     RttSummary,
     fading_comparison_table,
     intervals_to_csv,
-    latency_stats,
     mean_latency_so_far,
     rtt_summary_to_csv,
     summarize_rtt,
+    summarize_windows,
     windowed_series,
 )
 from iiot_netsim.rtt_model import HopConfig
@@ -74,25 +73,33 @@ def q_ms(q: int, count: int = 1) -> float:
     return x
 
 
-class TestLatencyStats:
+def tick_one_stats(q: list[int]) -> tuple:
+    """(min, avg, max) of delivered latencies q (units) sent in tick 1: the
+    run summary's, checked equal to the one window's."""
+    columns = cols([(1, 0.0, 1, True, x) for x in q])
+    s = summarize_rtt(columns)
+    (w,) = windowed_series(columns, 1.0, 1000.0, span_s=1.0)
+    assert (w.min_latency_ms, w.avg_latency_ms, w.max_latency_ms) == (s.min_ms, s.avg_ms, s.max_ms)
+    assert w.latency_sum_q == sum(q) and summarize_windows([w]) == s
+    return s.min_ms, s.avg_ms, s.max_ms
+
+
+class TestSummarizeRtt:
     def test_mean_of_equal_values_is_exact(self):
         # equal latencies average to themselves with no clamp, also where a
         # float holds no such value or an int64 sum of three wraps
         for q in [units(100.0), 2**53 + 1, 2**63 - 1]:
-            assert latency_stats(np.array([q] * 3)) == (q_ms(q),) * 3
-        assert latency_stats(np.array([UNITS_PER_S])) == (1000.0,) * 3
-        assert latency_stats(np.array([], dtype=np.int64)) == (None, None, None)
+            assert tick_one_stats([q] * 3) == (q_ms(q),) * 3
+        assert tick_one_stats([UNITS_PER_S]) == (1000.0,) * 3
 
     def test_mean_is_correctly_rounded(self):
         # a float sum drops the 1s of 2**53 + 1 + 1, and an int64 sum of
         # the others wraps; the exact sum does neither
         for q in [[2**53, 1, 1], [1, 2**53, 1], [2**62] * 3, [2**63 - 1] * 5 + [0]]:
-            lo, avg, hi = latency_stats(np.array(q, dtype=np.int64))
+            lo, avg, hi = tick_one_stats(q)
             assert (lo, avg, hi) == (q_ms(min(q)), q_ms(sum(q), len(q)), q_ms(max(q)))
             assert lo <= avg <= hi
 
-
-class TestSummarizeRtt:
     def test_repeated_value_keeps_order(self):
         # the Hypothesis counterexample of test_ordering_invariant at seed 7
         s = summarize_rtt(cols([delivered(1, 5609.0)] * 3))
@@ -286,12 +293,13 @@ class TestIntervalsCsv:
 
     @staticmethod
     def assert_written_exactly(reports):
-        """Every field of every report is a cell that parses back to it
-        exactly; an idle window's latencies are empty cells."""
+        """Every field of every report that the header names is a cell that
+        parses back to it exactly; an idle window's latencies are empty
+        cells."""
         lines = intervals_to_csv(reports).splitlines()
         assert len(lines) == len(reports) + 1
         for report, line in zip(reports, lines[1:]):
-            values = dataclasses.astuple(report)
+            values = [getattr(report, name) for name in INTERVALS_HEADER.split(",")]
             cells = line.split(",")
             assert len(cells) == len(values)
             for cell, value in zip(cells, values):
@@ -428,6 +436,7 @@ def ref_windowed_series(rows, tick_s, window, bits_per_packet, span_s):
                 avg_latency_ms=avg,
                 min_latency_ms=lo,
                 max_latency_ms=hi,
+                latency_sum_q=sum(ok),
             )
         )
     return out
@@ -441,6 +450,11 @@ def assert_matches_reference(rows, tick_s, window, span_s, times):
     assert summary == ref_summarize_rtt(rows)
     windows = windowed_series(columns, window, 1000.0, span_s)
     assert windows == ref_windowed_series(rows, tick_s, window, 1000.0, span_s)
+    # the windows fold to the summary of the rows in the span, with no pass
+    # over the packets
+    in_span = [r for r in rows if r[0] <= round(span_s / tick_s)]
+    folded = summarize_windows(windows)
+    assert folded == summarize_rtt(cols(in_span, tick_s)) == ref_summarize_rtt(in_span)
     assert mean_latency_so_far(columns, times) == ref_mean_latency_so_far(rows, times)
     # a send order handed in, as compare_fading shares one among its kinds;
     # here equal sends come last row first
