@@ -25,13 +25,14 @@ ticks and no others.
 
 A run draws, then resolves, one chunk of consecutive ticks at a time
 (at least _CHUNK_PACKETS packets, or the rest of the run, and under
-2**61 units of time), so it never holds more than one chunk's draws.  A
-run keys one Philox generator once; a domain's substream of tick t is
-the counter (0, domain, 0, t) under that key (rng.SubstreamGenerator).  The draw step takes each
-domain's draws of a tick from that one substream in one call, tick by
-tick: the nodes' rate jitters (node k's is uniform k), the send times,
-the service times, and on a lossy channel the channel normals (a pair
-per packet) and the leg uniforms (handshake_rows per packet).  Node k's
+2**61 units of time and _CHUNK_PACKETS ticks), so it never holds more
+than one chunk's draws.  A run keys one Philox generator once; a domain's
+substream of tick t is the counter (0, domain, 0, t) under that key
+(rng.SubstreamGenerator).  The draw step takes each domain's draws of a
+tick from that one substream in one call, tick by tick: the nodes' rate
+jitters (node k's is uniform k), the send times, the service times,
+and on a lossy channel the channel normals (a pair per packet) and the
+leg uniforms (handshake_rows per packet).  Node k's
 packets take positions [off_k, off_k + n_k) of every stream of its
 tick, in (node, packet) order, and a chunk lays its ticks end to end.
 The resolve step evaluates the channel and the handshake once on the
@@ -362,9 +363,9 @@ def _lossy(config: SimulationConfig) -> bool:
 
 
 # a run resolves its ticks in chunks of at least this many packets (the last
-# chunk may hold fewer, and one tick is never split): enough to share each
-# numpy call of the channel and the handshake among many ticks, while a run
-# holds only one chunk's draws
+# chunk may hold fewer, one tick is never split, and a chunk holds at most
+# this many ticks): enough to share each numpy call of the channel and the
+# handshake among many ticks, while a run holds only one chunk's draws
 _CHUNK_PACKETS = 2**14
 
 
@@ -429,11 +430,12 @@ def _draw_chunks(
     resolve these draws.
 
     A chunk also ends before it spans 2**61 units, so the sort keys and the
-    times from its first tick that _resolve forms stay below 2**62; a tick
-    always fits, as tick_s is below 2**31 s.
+    times from its first tick that _resolve forms stay below 2**62 (a tick
+    always fits, as tick_s is below 2**31 s), and at _CHUNK_PACKETS ticks,
+    so a run of idle ticks holds no more of them than a busy one.
     """
     ticks = range(1, cfg.n_ticks() + 1) if ticks is None else ticks
-    max_ticks = max(1, 2**61 // math.ceil(cfg.tick_s * UNITS_PER_S))
+    max_ticks = min(_CHUNK_PACKETS, max(1, 2**61 // math.ceil(cfg.tick_s * UNITS_PER_S)))
     nodes, mean_service = cfg.node_count, 1.0 / cfg.server_mu()
     leg_rows = handshake_rows(cfg.qos_level, cfg.max_retries_per_leg)
     lo, hi = RATE_JITTER_SPAN

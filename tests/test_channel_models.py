@@ -156,14 +156,20 @@ def test_rician_mean_matches_scipy_where_scipy_is_finite():
     [
         (RayleighParams(sigma=0.7), sample_rayleigh_gain_batch),
         (RicianParams(amplitude=1.3, sigma=0.7, phase=0.9), sample_rician_gain_batch),
+        (RicianParams(amplitude=0.0, sigma=0.7, phase=0.9), sample_rician_gain_batch),
     ],
-    ids=["rayleigh", "rician"],
+    ids=["rayleigh", "rician", "rician-without-los"],
 )
 def test_samplers_are_channel_gain(params, sampler):
     n = 1000
     h = sampler(params, n, RngStream(42, (3,)))
     z = RngStream(42, (3,)).gen.standard_normal((2, n))
     np.testing.assert_array_equal(h, channel_gain(params, z))
+    if isinstance(params, RicianParams) and params.amplitude == 0.0:
+        # no line of sight, whatever its phase: the Rayleigh sampler's gains,
+        # bit for bit, so validate-channel checks the degenerate law once
+        ray = sample_rayleigh_gain_batch(RayleighParams(sigma=params.sigma), n, RngStream(42, (3,)))
+        np.testing.assert_array_equal(h, ray)
 
 
 def test_channel_gain_formula():

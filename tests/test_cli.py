@@ -627,18 +627,8 @@ class TestValidateChannel:
             ]
         )
         assert rc == 0
-        assert "ks-two-sample" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("seed", [159, 205])
-    def test_degenerate_rician_agrees_with_rayleigh_on_its_own_normals(
-        self, tmp_path, capsys, seed
-    ):
-        # seeds whose Rayleigh reference, drawn from a stream of its own,
-        # failed the two-sample check by chance
-        argv = ["validate-channel", "--kind", "rician", "--amplitude", "0", "--sigma", "1"]
-        argv += ["--samples", "2000", "--seed", str(seed), "--out", str(tmp_path / "v")]
-        assert cli.main(argv) == 0
-        assert "ks-two-sample[vs rayleigh]: statistic=0 p=1\n" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert "check ks[rician]" in stdout and "pass" in stdout
 
     def test_wrong_reference_scale_exits_4(self, tmp_path, capsys):
         out = tmp_path / "v"
@@ -713,6 +703,74 @@ class TestValidateChannel:
         err = capsys.readouterr().err
         assert err.startswith("error: amplitude / sigma must be <= 100")
         assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")  # an overflow or a NaN on the way fails the run
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize(
+        "law",
+        [
+            ["--kind", "rayleigh", "--sigma", "1e-152"],
+            ["--kind", "rayleigh", "--sigma", "1e152"],
+            ["--kind", "rayleigh", "--sigma", "1e152", "--reference-sigma", "1e152"],
+            ["--kind", "awgn", "--n0", "2e-304"],
+            ["--kind", "awgn", "--n0", "2e304"],
+            ["--kind", "awgn", "--n0", "1e-300"],
+            ["--kind", "awgn", "--n0", "1e300"],
+            ["--kind", "rician", "--amplitude", "0", "--sigma", "1e-152"],
+            ["--kind", "rician", "--amplitude", "1e154", "--sigma", "1e152"],
+        ],
+        ids=lambda law: " ".join(law[1:]),
+    )
+    def test_scale_at_the_bound_passes(self, tmp_path, capsys, law, seed):
+        # at 1e152 a sum of 10^5 squared magnitudes overflows: the standard
+        # error and the quadrature variances are taken at unit scale
+        out = tmp_path / "v"
+        argv = ["validate-channel", *law, "--samples", "100000", "--seed", str(seed)]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith("pass\n") and captured.err == ""
+        assert "nan" not in (out / "channel_pdf.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "law,message",
+        [
+            (["--kind", "rayleigh", "--sigma", "9e-153"], "sigma must be in"),
+            (["--kind", "rayleigh", "--sigma", "1.1e152"], "sigma must be in"),
+            (["--kind", "rayleigh", "--sigma", "1e-300"], "sigma must be in"),
+            (["--kind", "rayleigh", "--sigma", "1e154"], "sigma must be in"),
+            (["--kind", "rayleigh", "--sigma", "1e200"], "sigma must be in"),
+            (["--kind", "rayleigh", "--reference-sigma", "1e-300"], "reference sigma must be in"),
+            (["--kind", "rayleigh", "--reference-sigma", "1.1e152"], "reference sigma must be in"),
+            (["--kind", "awgn", "--n0", "1.9e-304"], "sqrt(n0 / 2) must be in"),
+            (["--kind", "awgn", "--n0", "2.1e304"], "sqrt(n0 / 2) must be in"),
+            (["--kind", "awgn", "--reference-sigma", "9e-153"], "reference sigma must be in"),
+            (["--kind", "rician", "--amplitude", "0", "--sigma", "1e-300"], "sigma must be in"),
+            (["--kind", "rician", "--sigma", "1.1e152"], "sigma must be in"),
+            (
+                ["--kind", "rician", "--amplitude", "0", "--reference-sigma", "1e-300"],
+                "reference sigma must be in",
+            ),
+            (
+                ["--kind", "rician", "--sigma", "1e-153", "--reference-sigma", "1"],
+                "sigma must be in",
+            ),
+        ],
+    )
+    def test_scale_beyond_the_bound_exits_2_before_drawing(
+        self, tmp_path, capsys, monkeypatch, law, message
+    ):
+        def no_draw(*args):
+            raise AssertionError("drew gains")
+
+        for name in ("sample_awgn_batch", "sample_rayleigh_gain_batch", "sample_rician_gain_batch"):
+            monkeypatch.setattr(cli, name, no_draw)
+        out = tmp_path / "v"
+        assert cli.main(["validate-channel", *law, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message} [1e-152, 1e+152] for the checks, got ")
+        assert len(captured.err.strip().splitlines()) == 1
         assert not out.exists()
 
     def test_too_few_samples_exits_2(self, tmp_path):

@@ -115,7 +115,7 @@ with contextlib.redirect_stdout(stdout):
         "validate-channel", "--kind", "rician", "--amplitude", "0", "--sigma", "2",
         "--samples", "20000", "--seed", "5", "--out", OUT,
     ])
-assert rc == 0 and "ks-two-sample" in stdout.getvalue()
+assert rc == 0 and "check ks[rician]" in stdout.getvalue()
 result = (rc, stdout.getvalue(), (Path(OUT) / "channel_pdf.csv").read_text())
 """
 

@@ -1040,6 +1040,27 @@ class TestRecordColumns:
         column_bytes = sum(getattr(res.records, f).nbytes for f in sim_engine._COLUMNS)
         assert peak <= 2 * column_bytes + 3 * 2**20
 
+    def test_an_idle_runs_peak_does_not_grow_with_its_duration(self, monkeypatch):
+        # a chunk ends on packets, so an idle run would be one chunk holding
+        # every tick's empty draws (~400 B a tick: 4x the peak at 4x the
+        # ticks); a chunk holds at most _CHUNK_PACKETS ticks, lowered here so
+        # that both runs take several chunks and stay short
+        monkeypatch.setattr(sim_engine, "_CHUNK_PACKETS", 256)
+        run_simulation(make_config())
+        peaks = []
+        for ticks in (1_000, 4_000):
+            cfg = make_config(duration_s=float(ticks), packets_per_node_per_tick=0)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                res = run_simulation(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+            assert len(res.records) == 0
+        assert peaks[1] < 1.5 * peaks[0]
+
     def test_benchmark_statistics_read_the_columns(self):
         # perfbench reads records by iteration (model_stats) and truth test
         # (record_bytes); both must agree with the columns
