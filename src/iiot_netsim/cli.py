@@ -2,15 +2,18 @@
 
 Subcommands map one-to-one onto the package's reproduction recipes:
 simulate, compare-fading, validate-channel, qos-reliability, rtt, queue.
-Every file-writing command drops a manifest.json next to its outputs;
-the manifest's config snapshot plus seed reproduces the CSVs byte for
-byte.  Configs, hops files, outputs and stdout are UTF-8 whatever the
-locale.  Each output is written to a temporary file beside it and
-renamed over it, so the path holds the old file or the whole new one,
-and a failed write or rename leaves no temporary file behind.  A
-command exits 0 on success; a failure prints a single
-"error: ..." line to stderr and exits with the code its error type
-carries (errors.NetsimError.exit_code; 2 for an OSError or a
+Every file-writing command hands its files to one writer, which makes
+the output directory if it is missing, writes the files, and writes
+manifest.json last, listing exactly those files.  The manifest's config
+snapshot plus seed reproduces the CSVs byte for byte: simulate's --window,
+like --seed, is put into the config document before it is checked, so the
+snapshot is the document that ran.  Configs, hops files, outputs and
+stdout are UTF-8 whatever the locale.  Each output is written to a
+temporary file beside it and renamed over it, so the path holds the old
+file or the whole new one, and a failed write or rename leaves no
+temporary file behind.  A command exits 0 on success; a failure prints
+a single "error: ..." line to stderr and exits with the code its error
+type carries (errors.NetsimError.exit_code; 2 for an OSError or a
 MemoryError, such as numpy's refusal of an oversized --samples).
 
 Units at this boundary are human-facing (milliseconds, dB); everything
@@ -287,55 +290,47 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def write_manifest(
-    out_dir: Path, command: str, seed: int, snapshot: dict, outputs: list[str], wall_s: float
-) -> Path:
+def _write_outputs(
+    out: str, command: str, seed: int, config: dict, files: dict[str, str], t0: float
+) -> None:
+    """Write each named file into directory out, made if missing, then
+    manifest.json, which lists exactly those files and the wall time
+    since t0."""
+    out = Path(out)
+    # one stat: on an existing directory, mkdir(exist_ok=True) raises
+    # FileExistsError and catches it
+    if not out.is_dir():
+        out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        _write_atomic(out / name, text)
     manifest = {
         "tool": "iiot-netsim",
         "version": __version__,
         "command": command,
         "seed": seed,
-        "config": snapshot,
-        "outputs": outputs,
-        "wall_clock_s": round(wall_s, 6),
+        "config": config,
+        "outputs": list(files),
+        "wall_clock_s": round(time.perf_counter() - t0, 6),
     }
-    path = out_dir / "manifest.json"
-    _write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    # one stat: on an existing directory, mkdir(exist_ok=True) raises
-    # FileExistsError and catches it
-    if not out.is_dir():
-        out.mkdir(parents=True, exist_ok=True)
-    return out
+    _write_atomic(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     doc = load_config_doc(args.config)
+    if args.window is not None:  # like --seed: the snapshot is the document that ran
+        doc["report_window_s"] = args.window
     cfg, _plan, snapshot = build_config(doc, seed_override=resolve_seed(args.seed))
-    if args.window is not None:
-        cfg = dataclasses.replace(cfg, report_window_s=args.window)
-        snapshot["report_window_s"] = args.window
     result = run_simulation(cfg)
-    out = _out_dir(args)
     intervals = windowed_series(
         result.records, cfg.report_window_s, cfg.base_hop.packet_length, span_s=cfg.duration_s
     )
-    _write_atomic(out / "intervals.csv", intervals_to_csv(intervals))
     summary = summarize_windows(intervals)  # the span holds every tick of the run
-    _write_atomic(out / "rtt_summary.csv", rtt_summary_to_csv(summary))
-    write_manifest(
-        out,
-        "simulate",
-        cfg.seed,
-        snapshot,
-        ["intervals.csv", "rtt_summary.csv"],
-        time.perf_counter() - t0,
-    )
+    files = {
+        "intervals.csv": intervals_to_csv(intervals),
+        "rtt_summary.csv": rtt_summary_to_csv(summary),
+    }
+    _write_outputs(args.out, "simulate", cfg.seed, snapshot, files, t0)
     sent, delivered = len(result.records), summary.count
     avg = "" if summary.avg_ms is None else _fmt(summary.avg_ms)
     print(f"sent={sent} delivered={delivered} lost={sent - delivered} avg_latency_ms={avg}")
@@ -349,13 +344,9 @@ def cmd_compare_fading(args) -> int:
     if plan is None:
         raise InvalidConfigError("compare-fading requires a 'comparison' section (>= 2 kinds)")
     matrix_ms = compare_fading(cfg, plan.kinds, plan.sample_times_s).tolist()
-    out = _out_dir(args)
     labels = [k.label for k in plan.kinds]
     text, csv = fading_comparison_table(plan.sample_times_s, labels, matrix_ms)
-    _write_atomic(out / "fading_table.csv", csv)
-    write_manifest(
-        out, "compare-fading", cfg.seed, snapshot, ["fading_table.csv"], time.perf_counter() - t0
-    )
+    _write_outputs(args.out, "compare-fading", cfg.seed, snapshot, {"fading_table.csv": csv}, t0)
     print(text, end="")
     return 0
 
@@ -429,8 +420,6 @@ def cmd_validate_channel(args) -> int:
     rows += [
         f"{_fmt(r)},{_fmt(float(pdf(r)))},{_fmt(h)}" for r, h in zip(centers, hist)
     ]
-    out = _out_dir(args)
-    _write_atomic(out / "channel_pdf.csv", "\n".join(rows) + "\n")
     params_used = {
         "kind": args.kind,
         "sigma": args.sigma,
@@ -440,9 +429,8 @@ def cmd_validate_channel(args) -> int:
         "samples": args.samples,
         "reference_sigma": args.reference_sigma,
     }
-    write_manifest(
-        out, "validate-channel", seed, params_used, ["channel_pdf.csv"], time.perf_counter() - t0
-    )
+    files = {"channel_pdf.csv": "\n".join(rows) + "\n"}
+    _write_outputs(args.out, "validate-channel", seed, params_used, files, t0)
 
     ks = stats.kstest(mags, cdf)
     print(f"check ks[{law_name}]: statistic={ks.statistic:.6g} p={ks.pvalue:.6g}")
@@ -467,7 +455,7 @@ def cmd_qos_reliability(args) -> int:
     seed = resolve_seed(args.seed, DEFAULT_SEED)
     closed = reliability(params)
     mc = reliability_monte_carlo(params, args.samples, RngStream(seed).child("qos-reliability"))
-    se = math.sqrt(max(mc * (1.0 - mc), 0.0) / args.samples)
+    se = math.sqrt(mc * (1.0 - mc) / args.samples)
     print(QOS_HEADER)
     print(
         f"{_fmt(args.alpha)},{_fmt(args.beta)},{_fmt(args.gamma)},{_fmt(args.delta)},"

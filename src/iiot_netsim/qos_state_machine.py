@@ -7,10 +7,12 @@ QoS 0 (fire and forget, one leg) and QoS 1 (PUBLISH+PUBACK, retried
 until both legs of one attempt succeed) are the baselines.
 
 handshake_legs is the one implementation of these rules: the simulator
-runs it per tick, and the validation checks call it directly.
+runs it per chunk, and the tests call it directly.
 reliability is the closed form of the chain with per-leg success
 probabilities alpha, beta, gamma, delta, and reliability_monte_carlo
-samples the process that closed form describes.
+samples the process that closed form describes: all four legs drawn at
+once and redrawn whole when all four fail, which is not the per-leg
+retry process handshake_legs runs.
 """
 from __future__ import annotations
 

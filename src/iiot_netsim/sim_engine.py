@@ -5,10 +5,14 @@ channel realization (channel_models.channel_gain; block fading: one draw
 reused by every leg and retry of that packet), the instantaneous SNR maps
 to a per-leg success probability through a logistic threshold curve, and
 the QoS handshake (qos_state_machine.handshake_legs) determines delivery
-and the number of one-way legs consumed.  The validation commands check
-those same two functions.  Delivered packets then queue FIFO at the
-central server (one exponential server whose rate is the base hop's
-service_rate), so end-to-end latency is
+and the number of one-way legs consumed.  validate-channel checks
+channel_gain, through the samplers that wrap it; qos-reliability checks
+qos_state_machine.reliability and reliability_monte_carlo, whose
+handshake is redrawn whole when all four legs of a round fail, a
+different process from the per-leg retries handshake_legs simulates.
+Delivered packets then queue FIFO at the central server (one
+exponential server whose rate is the base hop's service_rate), so
+end-to-end latency is
 
     legs_consumed * one_way + server_queue_wait
 

@@ -260,22 +260,56 @@ class TestSimulate:
         )
         assert rc == 2
 
-    def test_window_override(self, tmp_path):
+    def test_window_override(self, tmp_path, monkeypatch):
+        # --window enters the config document, so the config is built and
+        # checked once and the snapshot holds the window that ran
+        built = []
+        post_init = cli.SimulationConfig.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(cli.SimulationConfig, "__post_init__", counting)
         out = tmp_path / "o"
-        cli.main(
-            [
-                "simulate",
-                "--config",
-                str(shipped("default_simulate.json")),
-                "--out",
-                str(out),
-                "--window",
-                "2.0",
-            ]
-        )
+        cfg = str(shipped("default_simulate.json"))
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out), "--window", "2"]) == 0
+        assert len(built) == 1
         rows = read_intervals(out)
         assert len(rows) == 5
         assert all(float(r["window_len_s"]) == 2.0 for r in rows)
+        assert json.loads((out / "manifest.json").read_text())["config"]["report_window_s"] == 2.0
+
+    @pytest.mark.parametrize(
+        "key,refused,flag,value",
+        [("seed", -1, "--seed", "9"), ("report_window_s", 2.5, "--window", "2")],
+    )
+    def test_flag_replaces_a_refused_config_value(
+        self, tmp_path, capsys, key, refused, flag, value
+    ):
+        # a flag's value replaces the config's before the document is
+        # checked: the config's own value is never checked
+        doc = load_doc("default_simulate.json")
+        doc[key] = refused
+        cfg = write_doc(tmp_path, doc)
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert key in capsys.readouterr().err
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out), flag, value]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"][key] == float(value)
+        windows = {float(r["window_len_s"]) for r in read_intervals(out)}
+        assert windows == {manifest["config"]["report_window_s"]}
+
+    @pytest.mark.parametrize("window", ["inf", "nan"])
+    def test_non_finite_window_exits_2(self, tmp_path, capsys, window):
+        out = tmp_path / "o"
+        cfg = str(shipped("default_simulate.json"))
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out), "--window", window]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config.report_window_s must be a finite number")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_partial_last_window_reports_its_own_length(self, tmp_path):
         # 10 s in 3 s windows: the last is 1 s long, and the run offers
@@ -794,16 +828,18 @@ class TestQosReliability:
         captured = capsys.readouterr()
         return rc, captured.out.splitlines(), captured.err
 
-    def test_all_ones(self, capsys):
-        rc, out, _ = self.run(
-            ["qos-reliability", "1", "1", "1", "1", "--samples", "1000"], capsys
-        )
+    @pytest.mark.parametrize(
+        "legs,r", [(["1", "1", "1", "1"], "1"), (["1", "0", "1", "1"], "0")], ids=["one", "zero"]
+    )
+    def test_certain_chains(self, capsys, legs, r):
+        # a chain that always or never delivers: R is exactly 1 or 0 in
+        # closed form and by Monte Carlo, with a standard error of 0
+        rc, out, _ = self.run(["qos-reliability", *legs, "--samples", "1000"], capsys)
         assert rc == 0
         assert out[0] == (
             "alpha,beta,gamma,delta,R_closed_form,R_monte_carlo,mc_standard_error,n_runs"
         )
-        f = out[1].split(",")
-        assert float(f[4]) == 1.0 and float(f[5]) == 1.0 and f[7] == "1000"
+        assert out[1].split(",")[4:] == [r, r, "0", "1000"]
 
     def test_mc_tracks_closed_form(self, capsys):
         rc, out, _ = self.run(
@@ -1042,6 +1078,35 @@ class TestOutputFiles:
             cli._write_atomic(tmp_path / "f.csv", text)
         assert (tmp_path / "f.csv").read_bytes() == text.encode("utf-8")
         assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["simulate", "--config", str(shipped("default_simulate.json"))], 0),
+            (["compare-fading", "--config", str(shipped("default_compare.json"))], 0),
+            (["validate-channel", "--kind", "rayleigh", "--samples", "20000"], 0),
+            (["validate-channel", "--kind", "rayleigh", "--reference-sigma", "1.2",
+              "--samples", "50000"], 4),
+        ],
+        ids=["simulate", "compare-fading", "validate-channel", "validate-channel-fails"],
+    )
+    def test_manifest_lists_the_files_written_before_it(
+        self, tmp_path, monkeypatch, capsys, argv, code
+    ):
+        written = []
+        write_atomic = cli._write_atomic
+
+        def recording(path, text):
+            written.append(Path(path).name)
+            write_atomic(path, text)
+
+        monkeypatch.setattr(cli, "_write_atomic", recording)
+        out = tmp_path / "o"
+        assert cli.main([*argv, "--out", str(out)]) == code
+        *files, last = written
+        assert last == "manifest.json"
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == files
+        assert sorted(p.name for p in out.iterdir()) == sorted(written)
 
     def test_out_dir_is_made_only_when_missing(self, tmp_path, monkeypatch, capsys):
         made = []
